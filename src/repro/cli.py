@@ -630,7 +630,7 @@ def _cmd_scenarios(args) -> str:
 def _cmd_bench(args) -> str:
     import json
 
-    from .perf import render_report, run_bench, write_reports
+    from .perf import check_gates, render_report, run_bench, write_reports
 
     report = run_bench(
         quick=args.quick,
@@ -640,68 +640,9 @@ def _cmd_bench(args) -> str:
         repeats=args.repeats,
     )
     paths = write_reports(report, args.out)
-    speedup = report["lut_build"]["speedup"]
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        raise ReproError(
-            f"perf gate failed: vectorized LUT build speedup {speedup:.2f}x "
-            f"is below the required {args.min_speedup:.2f}x"
-        )
-    loop_speedup = report["runtime"]["speedup"]
-    if (args.min_runtime_speedup is not None
-            and loop_speedup < args.min_runtime_speedup):
-        raise ReproError(
-            f"perf gate failed: vectorized slice-loop speedup "
-            f"{loop_speedup:.2f}x is below the required "
-            f"{args.min_runtime_speedup:.2f}x"
-        )
-    qos_throughput = report["qos"]["requests_per_s"]
-    if (args.min_qos_throughput is not None
-            and qos_throughput < args.min_qos_throughput):
-        raise ReproError(
-            f"perf gate failed: QoS simulator throughput "
-            f"{qos_throughput:.0f} requests/s is below the required "
-            f"{args.min_qos_throughput:.0f}"
-        )
-    qos_speedup = report["qos"]["speedup"]
-    if (args.min_qos_speedup is not None
-            and qos_speedup < args.min_qos_speedup):
-        raise ReproError(
-            f"perf gate failed: vectorized QoS engine speedup "
-            f"{qos_speedup:.2f}x is below the required "
-            f"{args.min_qos_speedup:.2f}x"
-        )
-    resume_speedup = report["store"]["resume_speedup"]
-    if (args.min_store_speedup is not None
-            and resume_speedup < args.min_store_speedup):
-        raise ReproError(
-            f"perf gate failed: warm store-resume sweep is only "
-            f"{resume_speedup:.2f}x faster than the cold sweep, below "
-            f"the required {args.min_store_speedup:.2f}x"
-        )
-    serve_speedup = report["serve"]["speedup"]
-    if (args.min_serve_speedup is not None
-            and serve_speedup < args.min_serve_speedup):
-        raise ReproError(
-            f"perf gate failed: warm-daemon submissions are only "
-            f"{serve_speedup:.2f}x faster than cold per-process engines, "
-            f"below the required {args.min_serve_speedup:.2f}x"
-        )
-    dist_speedup = report["dist"]["speedup"]
-    if (args.min_dist_speedup is not None
-            and dist_speedup < args.min_dist_speedup):
-        raise ReproError(
-            f"perf gate failed: the {report['dist']['workers']}-worker "
-            f"distributed sweep is only {dist_speedup:.2f}x faster than "
-            f"one worker, below the required {args.min_dist_speedup:.2f}x"
-        )
-    obs_overhead = report["obs"]["disabled_overhead"]
-    if (args.max_obs_overhead is not None
-            and obs_overhead > args.max_obs_overhead):
-        raise ReproError(
-            f"perf gate failed: disabled-tracing instrumentation costs "
-            f"{obs_overhead:.2%} of the untraced workload, above the "
-            f"allowed {args.max_obs_overhead:.2%}"
-        )
+    failures = check_gates(report) if args.gate else []
+    if failures:
+        raise ReproError("perf gate failed: " + "; ".join(failures))
     if args.json:
         return json.dumps(report, indent=2, sort_keys=True)
     lines = [render_report(report), ""]
@@ -1082,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--low", type=int, default=2)
     scenarios.add_argument("--seed", type=int, default=2025)
     bench = sub.add_parser(
-        "bench", help="perf harness: LUT build, cache, sweep, lookup timings"
+        "bench", help="perf harness: time every section, write BENCH_*.json"
     )
     bench.add_argument("--quick", action="store_true",
                        help="CI-sized run: fewer repeats, smaller sweep grid")
@@ -1094,36 +1035,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "with --quick)")
     bench.add_argument("--out", default=".",
                        help="directory for the BENCH_*.json artifacts")
-    bench.add_argument("--min-speedup", type=float, default=None,
-                       help="fail (exit 2) if the vectorized LUT build is "
-                            "not this many times faster than the scalar "
-                            "reference")
-    bench.add_argument("--min-runtime-speedup", type=float, default=None,
-                       help="fail (exit 2) if the vectorized slice loop is "
-                            "not this many times faster than the scalar "
-                            "reference")
-    bench.add_argument("--min-qos-throughput", type=float, default=None,
-                       help="fail (exit 2) if the QoS simulator falls below "
-                            "this many simulated requests per second")
-    bench.add_argument("--min-qos-speedup", type=float, default=None,
-                       help="fail (exit 2) if the vectorized QoS engine is "
-                            "not this many times faster than the per-event "
-                            "scalar reference")
-    bench.add_argument("--min-store-speedup", type=float, default=None,
-                       help="fail (exit 2) if a warm store-resume sweep is "
-                            "not this many times faster than the cold sweep")
-    bench.add_argument("--min-serve-speedup", type=float, default=None,
-                       help="fail (exit 2) if warm-daemon submissions are "
-                            "not this many times faster than cold "
-                            "per-process engines")
-    bench.add_argument("--min-dist-speedup", type=float, default=None,
-                       help="fail (exit 2) if the multi-worker distributed "
-                            "sweep is not this many times faster than a "
-                            "single worker under the same synthetic cost")
-    bench.add_argument("--max-obs-overhead", type=float, default=None,
-                       help="fail (exit 2) if the disabled tracing "
-                            "instrumentation costs more than this fraction "
-                            "of the untraced workload (e.g. 0.05)")
+    bench.add_argument("--gate", action="store_true",
+                       help="fail (exit 2) if any section misses one of "
+                            "its gate thresholds (repro.perf.SECTIONS, "
+                            "listed in docs/PERF.md)")
     bench.add_argument("--json", action="store_true",
                        help="print the full machine-readable report")
     trend = sub.add_parser(

@@ -29,46 +29,27 @@ and as the baseline of the ``repro bench`` perf gate.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError, PlacementError
 from ..obs.tracing import span as _span
+from ..reference import SCALAR_DP
 
 #: Process-wide count of DP table constructions, for cache verification
 #: (a warm persistent-cache run must leave this untouched).
 _DP_BUILDS = 0
 
-#: Programmatic override of the REPRO_SCALAR_DP environment switch.
-_FORCE_SCALAR: bool | None = None
+#: Whether the scalar reference DP is selected (``REPRO_SCALAR_DP``).
+use_scalar_dp = SCALAR_DP.enabled
+#: Force the scalar (or vectorized) DP for the enclosed block.
+scalar_dp = SCALAR_DP.forced
 
 
 def dp_build_count() -> int:
     """How many DP tables this process has actually computed."""
     return _DP_BUILDS
-
-
-def use_scalar_dp() -> bool:
-    """Whether the scalar reference implementation is selected."""
-    if _FORCE_SCALAR is not None:
-        return _FORCE_SCALAR
-    value = os.environ.get("REPRO_SCALAR_DP", "").strip().lower()
-    return value in {"1", "true", "yes", "on"}
-
-
-@contextmanager
-def scalar_dp(enabled: bool = True):
-    """Force the scalar (or vectorized) path for the enclosed block."""
-    global _FORCE_SCALAR
-    previous = _FORCE_SCALAR
-    _FORCE_SCALAR = enabled
-    try:
-        yield
-    finally:
-        _FORCE_SCALAR = previous
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ from .knapsack import knapsack_min_energy, use_scalar_dp
 from .lut import AllocationLUT, Placement
 from .spaces import PIM_LATENCY_SCALE, SpaceKind, StorageSpace, build_spaces
 
+#: Position of each space kind in declaration order.
+_KIND_ORDER = {kind: index for index, kind in enumerate(SpaceKind)}
+
 #: Default number of weight blocks (the paper's resolution limiting: K is
 #: reduced from raw weight counts to keep LUT construction under 1 % of a
 #: time slice).
@@ -304,7 +307,12 @@ class DataPlacementOptimizer:
         parallel over the MEM Interface Logic, so time divides by the
         destination space's module count; energy counts every access.
         """
-        kinds = set(old_counts) | set(new_counts)
+        # Declaration order, not set order: a set of str-valued enum
+        # members iterates in PYTHONHASHSEED-dependent order, and the
+        # float sums below depend on the order of their terms.
+        kinds = sorted(
+            set(old_counts) | set(new_counts), key=_KIND_ORDER.__getitem__
+        )
         moved_out = {}
         moved_in = {}
         for kind in kinds:

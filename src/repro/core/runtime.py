@@ -30,8 +30,6 @@ the :func:`scalar_runtime` context manager, mirroring the
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +37,7 @@ import numpy as np
 from ..arch.specs import ArchitectureSpec, HH_PIM
 from ..errors import ConfigurationError, InfeasibleError
 from ..memory.hybrid import BankKind
+from ..reference import SCALAR_RUNTIME
 from ..workloads.models import ModelSpec
 from ..workloads.scenarios import Scenario
 from ..workloads.tasks import TaskBuffer
@@ -63,28 +62,11 @@ FINE_GRANULE_BYTES = 16 * 1024
 #: ablations.
 MACRO_GRANULE_BYTES = 64 * 1024
 
-#: Programmatic override of the REPRO_SCALAR_RUNTIME environment switch.
-_FORCE_SCALAR_RUNTIME: bool | None = None
-
-
-def use_scalar_runtime() -> bool:
-    """Whether the scalar reference slice loop is selected."""
-    if _FORCE_SCALAR_RUNTIME is not None:
-        return _FORCE_SCALAR_RUNTIME
-    value = os.environ.get("REPRO_SCALAR_RUNTIME", "").strip().lower()
-    return value in {"1", "true", "yes", "on"}
-
-
-@contextmanager
-def scalar_runtime(enabled: bool = True):
-    """Force the scalar (or vectorized) slice loop for the enclosed block."""
-    global _FORCE_SCALAR_RUNTIME
-    previous = _FORCE_SCALAR_RUNTIME
-    _FORCE_SCALAR_RUNTIME = enabled
-    try:
-        yield
-    finally:
-        _FORCE_SCALAR_RUNTIME = previous
+#: Whether the scalar reference slice loop is selected
+#: (``REPRO_SCALAR_RUNTIME``).
+use_scalar_runtime = SCALAR_RUNTIME.enabled
+#: Force the scalar (or vectorized) slice loop for the enclosed block.
+scalar_runtime = SCALAR_RUNTIME.forced
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,20 @@
 
 The harness times the paths the ROADMAP cares about — LUT construction
 (vectorized vs the scalar reference, cold vs persistent-cache warm),
-sweep throughput through the experiment engine, and per-slice lookup
-latency — and writes machine-readable ``BENCH_*.json`` artifacts that CI
-uploads and gates on.  :mod:`repro.perf.trend` compares a fresh run's
+sweep throughput through the experiment engine, per-slice lookup
+latency, the slice loop, QoS, the store, the daemon, the distributed
+executor and tracing overhead — and writes machine-readable
+``BENCH_*.json`` artifacts that CI uploads and gates on.
+:data:`SECTIONS` is the one table of sections, headline metrics and
+gate thresholds; :mod:`repro.perf.trend` compares a fresh run's
 headline metrics against the committed baselines so CI also catches
 *relative* drift, not just absolute-floor violations.
 """
 
 from .bench import (
     BENCH_PREFIX,
+    SECTIONS,
+    check_gates,
     default_bench_settings,
     render_report,
     run_bench,
@@ -18,7 +23,6 @@ from .bench import (
 )
 from .trend import (
     DEFAULT_TOLERANCE,
-    HEADLINE_METRICS,
     TrendDelta,
     compare_reports,
     render_markdown,
@@ -26,12 +30,13 @@ from .trend import (
 
 __all__ = [
     "BENCH_PREFIX",
+    "SECTIONS",
+    "check_gates",
     "default_bench_settings",
     "render_report",
     "run_bench",
     "write_reports",
     "DEFAULT_TOLERANCE",
-    "HEADLINE_METRICS",
     "TrendDelta",
     "compare_reports",
     "render_markdown",

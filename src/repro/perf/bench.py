@@ -1,67 +1,11 @@
 """The ``repro bench`` measurement sections.
 
-Ten sections, each emitted as one ``BENCH_<section>.json``:
-
-``lut_build``
-    Wall time of a full allocation-LUT construction on the vectorized
-    production path vs the ``REPRO_SCALAR_DP`` scalar reference —
-    the CI perf gate fails when the reported ``speedup`` drops below
-    ``--min-speedup``.
-``lut_cache``
-    Cold materialisation (build + persist) vs warm load of the same
-    runtime from the persistent cache, in an isolated cache directory;
-    ``warm_dp_builds`` must be zero or the cache is broken.
-``sweep``
-    Engine ``run_many`` throughput over a small grid: a cold pass, a
-    warm in-memory pass on the same engine, and a fresh-engine pass
-    served purely by the disk cache (``disk_warm_dp_builds == 0`` is the
-    cross-process zero-rebuild property).
-``lookup``
-    Mean per-slice ``AllocationLUT.lookup`` latency over budgets
-    spanning the feasible range — the paper's O(log n) runtime claim.
-``runtime``
-    Slice-loop throughput over a long bursty scenario: the vectorized
-    driver vs the ``REPRO_SCALAR_RUNTIME`` scalar reference — the CI
-    perf gate fails when ``speedup`` drops below
-    ``--min-runtime-speedup``.
-``qos``
-    Request-level QoS throughput over an overloaded bursty scenario
-    with EDF queueing, batching and queue-depth autoscaling all
-    engaged: the vectorized batch engine vs the ``REPRO_SCALAR_QOS``
-    per-event scalar reference on the same request stream — the CI
-    perf gate fails when ``requests_per_s`` (vectorized) drops below
-    ``--min-qos-throughput`` or ``speedup`` drops below
-    ``--min-qos-speedup``.
-``store``
-    Experiment-store resume: a cold sweep computing + persisting every
-    run into an empty store vs a fresh engine resuming the same grid
-    purely from stored entries — ``warm_runs_executed`` must be zero
-    and the CI perf gate fails when ``resume_speedup`` drops below
-    ``--min-store-speedup``.
-``serve``
-    Resident-daemon serving: a batch of QoS configs submitted to a warm
-    in-process :class:`~repro.service.daemon.ServeDaemon` (one LUT
-    build amortised across every job) vs the same batch on cold
-    per-process engines (the floor of a fresh CLI invocation per
-    config, interpreter startup excluded) — ``warm_dp_builds`` must be
-    zero and the CI perf gate fails when ``speedup`` drops below
-    ``--min-serve-speedup``.
-``dist``
-    Work-stealing sweep executor scheduling: the same seed grid through
-    :func:`~repro.dist.executor.distributed_sweep` with one worker vs a
-    four-worker pool, both under an identical synthetic per-config cost
-    (``REPRO_DIST_RUN_STALL_S``, a sleep the workers honour after each
-    run).  Sleeps overlap across worker processes regardless of core
-    count, so the measured ``speedup`` reflects how well the
-    claim/lease/complete loop keeps N workers busy — not the machine —
-    and the CI perf gate fails when it drops below
-    ``--min-dist-speedup``.
-``obs``
-    Tracing overhead: the disabled null-span fast path timed directly
-    (``null_span_ns``) plus the QoS workload untraced vs under an
-    active tracer.  ``disabled_overhead`` estimates the fraction of
-    the untraced wall the instrumentation costs when tracing is off —
-    the CI gate fails when it exceeds ``--max-obs-overhead``.
+:data:`SECTIONS` is the one table of sections.  Each row names a
+section, the function that measures it (its docstring says what), the
+higher-is-better headline metric ``repro trend`` compares against the
+committed baselines, the gates ``repro bench --gate`` enforces, and the
+metrics ``repro bench`` prints.  Every section is written as one
+``BENCH_<section>.json``.
 
 All timings are best-of-``repeats`` :func:`time.perf_counter` walls.
 """
@@ -73,7 +17,9 @@ import os
 import platform
 import tempfile
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -97,7 +43,12 @@ from ..workloads.arrivals import bursty
 BENCH_PREFIX = "BENCH_"
 
 
-def default_bench_settings(quick: bool = False) -> dict:
+def default_bench_settings(
+    quick: bool = False,
+    block_count: int = DEFAULT_BLOCK_COUNT,
+    time_steps: int = DEFAULT_TIME_STEPS,
+    repeats: int | None = None,
+) -> dict:
     """The knobs a bench run needs, scaled down under ``--quick``.
 
     ``--quick`` trims repeats and the sweep grid for CI latency but keeps
@@ -106,7 +57,10 @@ def default_bench_settings(quick: bool = False) -> dict:
     """
     return {
         "quick": quick,
-        "repeats": 1 if quick else 3,
+        "repeats": (1 if quick else 3) if repeats is None else repeats,
+        # Resolution of the lut_build and lut_cache sections.
+        "block_count": block_count,
+        "time_steps": time_steps,
         "sweep_archs": ["HH-PIM", "Hybrid-PIM"] if quick
         else ["Baseline-PIM", "Heterogeneous-PIM", "Hybrid-PIM", "HH-PIM"],
         "sweep_cases": ["case1", "case3"] if quick
@@ -154,13 +108,10 @@ def _metadata(settings: dict) -> dict:
 # -- sections --------------------------------------------------------------------
 
 
-def bench_lut_build(
-    model_name: str,
-    block_count: int,
-    time_steps: int,
-    repeats: int,
-) -> dict:
+def bench_lut_build(settings: dict, model_name: str) -> dict:
     """Vectorized vs scalar-reference LUT construction on HH-PIM."""
+    block_count = settings["block_count"]
+    time_steps = settings["time_steps"]
     model = MODELS.get(model_name)
     t_slice_ns = default_time_slice_ns(
         model, block_count=block_count, time_steps=time_steps
@@ -177,7 +128,7 @@ def bench_lut_build(
     def build() -> None:
         built["lut"] = optimizer.build_lut()
 
-    vectorized_s = _best_of(build, repeats)
+    vectorized_s = _best_of(build, settings["repeats"])
     with scalar_dp():
         # The scalar reference is orders of magnitude slower; one
         # repetition bounds bench latency without hurting the gate.
@@ -195,20 +146,17 @@ def bench_lut_build(
     }
 
 
-def bench_lut_cache(
-    model_name: str,
-    block_count: int,
-    time_steps: int,
-) -> dict:
+def bench_lut_cache(settings: dict, model_name: str) -> dict:
     """Cold build-and-persist vs warm load from the persistent cache.
 
     Runs against a throwaway cache directory so the measurement is
     always a true cold/warm pair, regardless of the user's cache state.
+    ``warm_dp_builds`` must be zero or the cache is broken.
     """
     config = ExperimentConfig(
         model=MODELS.canonical(model_name),
-        block_count=block_count,
-        time_steps=time_steps,
+        block_count=settings["block_count"],
+        time_steps=settings["time_steps"],
     )
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         with lutcache.temporary_cache_dir(tmp):
@@ -222,8 +170,8 @@ def bench_lut_cache(
             entries = lutcache.info()
     return {
         "model": config.model,
-        "block_count": block_count,
-        "time_steps": time_steps,
+        "block_count": config.block_count,
+        "time_steps": config.time_steps,
         "cold_s": cold_s,
         "warm_s": warm_s,
         "cold_dp_builds": cold_builds,
@@ -235,7 +183,12 @@ def bench_lut_cache(
 
 
 def bench_sweep(settings: dict, model_name: str) -> dict:
-    """Engine ``run_many`` throughput: cold, memory-warm and disk-warm."""
+    """Engine ``run_many`` throughput: cold, memory-warm and disk-warm.
+
+    A fresh engine served purely by the disk cache must do zero DP
+    builds (``disk_warm_dp_builds``): the cross-process zero-rebuild
+    property.
+    """
     grid = ExperimentConfig(
         model=MODELS.canonical(model_name),
         slices=settings["sweep_slices"],
@@ -271,8 +224,10 @@ def bench_sweep(settings: dict, model_name: str) -> dict:
     }
 
 
-def bench_lookup(model_name: str, lookups: int) -> dict:
-    """Mean per-slice LUT lookup latency over the feasible budget range."""
+def bench_lookup(settings: dict, model_name: str) -> dict:
+    """Mean per-slice LUT lookup latency over the feasible budget range:
+    the paper's O(log n) runtime claim."""
+    lookups = settings["lookups"]
     engine = Engine(use_disk_cache=False)
     runtime = engine.runtime(
         ExperimentConfig(
@@ -299,7 +254,7 @@ def bench_lookup(model_name: str, lookups: int) -> dict:
     }
 
 
-def bench_runtime(model_name: str, slices: int, repeats: int) -> dict:
+def bench_runtime(settings: dict, model_name: str) -> dict:
     """Slice-loop throughput: vectorized driver vs the scalar reference.
 
     Runs a long bursty (MMPP) scenario — the shape a serving deployment
@@ -314,9 +269,12 @@ def bench_runtime(model_name: str, slices: int, repeats: int) -> dict:
             time_steps=1500,
         )
     )
+    slices = settings["runtime_slices"]
     workload = bursty().materialize(slices=slices, peak=10, seed=2025)
 
-    vectorized_s = _best_of(lambda: runtime.run_vectorized(workload), repeats)
+    vectorized_s = _best_of(
+        lambda: runtime.run_vectorized(workload), settings["repeats"]
+    )
     with scalar_runtime():
         scalar_s = _best_of(lambda: runtime.run(workload), 1)
     return {
@@ -332,7 +290,7 @@ def bench_runtime(model_name: str, slices: int, repeats: int) -> dict:
     }
 
 
-def bench_qos(model_name: str, slices: int, repeats: int) -> dict:
+def bench_qos(settings: dict, model_name: str) -> dict:
     """Vectorized vs scalar-reference QoS throughput under serving stress.
 
     A heavily overloaded bursty scenario on a capacity-constrained
@@ -352,6 +310,7 @@ def bench_qos(model_name: str, slices: int, repeats: int) -> dict:
             time_steps=1500,
         )
     )
+    slices = settings["qos_slices"]
     workload = bursty(calm_rate=40.0, burst_rate=160.0).materialize(
         slices=slices, peak=200, seed=2025
     )
@@ -371,7 +330,7 @@ def bench_qos(model_name: str, slices: int, repeats: int) -> dict:
         )
         out["result"] = simulator.run(workload, requests=requests)
 
-    vectorized_s = _best_of(simulate, repeats)
+    vectorized_s = _best_of(simulate, settings["repeats"])
     result = out["result"]
     with scalar_qos():
         # The per-event reference is the slow side; one repetition
@@ -601,7 +560,7 @@ def bench_obs(settings: dict, model_name: str) -> dict:
     (``enabled_overhead``), and folds the two into
     ``disabled_overhead`` — the estimated fraction of the untraced wall
     the instrumentation costs with tracing off (span count × null-span
-    cost / wall), which the CI gate pins below ``--max-obs-overhead``.
+    cost / wall).
     """
     from ..obs import tracing as obs_tracing
 
@@ -673,6 +632,112 @@ def bench_obs(settings: dict, model_name: str) -> dict:
     }
 
 
+# -- the section table ---------------------------------------------------------------
+
+
+class Gate(NamedTuple):
+    """A threshold one section metric must hold under ``--gate``."""
+
+    #: The metric of the section's report that is checked.
+    metric: str
+    #: ``"min"`` (value >= threshold) or ``"max"`` (value <= threshold).
+    kind: str
+    threshold: float
+    #: Why the threshold holds on any runner, for the failure message.
+    reason: str
+
+    def holds(self, value: float) -> bool:
+        """Whether ``value`` is on the passing side of the threshold."""
+        if self.kind == "min":
+            return value >= self.threshold
+        return value <= self.threshold
+
+
+@dataclass(frozen=True)
+class BenchSection:
+    """One row of :data:`SECTIONS`."""
+
+    #: Section name; its artifact is ``BENCH_<name>.json``.
+    name: str
+    #: ``run(settings, model_name)`` measures the section's metrics.
+    run: Callable[[dict, str], dict]
+    #: The higher-is-better metric ``repro trend`` compares.
+    headline: str
+    #: The thresholds ``repro bench --gate`` enforces.
+    gates: tuple[Gate, ...]
+    #: The metrics ``repro bench`` prints, in order.
+    summary: tuple[str, ...]
+
+
+#: Every bench section, in run order.
+SECTIONS: tuple[BenchSection, ...] = (
+    BenchSection(
+        "lut_build", bench_lut_build, "speedup",
+        (Gate("speedup", "min", 1.0, "the vectorized LUT build must not "
+              "fall behind the scalar reference it replaces"),),
+        ("block_count", "time_steps", "vectorized_s", "scalar_s", "speedup"),
+    ),
+    BenchSection(
+        "lut_cache", bench_lut_cache, "load_speedup", (),
+        ("cold_s", "warm_s", "warm_dp_builds", "load_speedup"),
+    ),
+    BenchSection(
+        "sweep", bench_sweep, "disk_warm_runs_per_s", (),
+        ("runs", "cold_runs_per_s", "warm_runs_per_s",
+         "disk_warm_runs_per_s", "disk_warm_dp_builds"),
+    ),
+    BenchSection(
+        "lookup", bench_lookup, "lookups_per_s", (),
+        ("lut_candidates", "mean_us", "lookups_per_s"),
+    ),
+    BenchSection(
+        "runtime", bench_runtime, "speedup",
+        (Gate("speedup", "min", 1.0, "the vectorized slice loop must not "
+              "fall behind the scalar reference it replaces"),),
+        ("slices", "vectorized_slices_per_s", "scalar_slices_per_s",
+         "speedup"),
+    ),
+    BenchSection(
+        "qos", bench_qos, "speedup",
+        (
+            Gate("requests_per_s", "min", 200.0, "dev machines clock ~50k "
+                 "requests/s, so 200 allows a ~250x slower runner and still "
+                 "catches a collapse; requests_per_scalar_slice tracks drift"),
+            Gate("speedup", "min", 5.0, "the vectorized QoS engine beats the "
+                 "per-event reference ~10x on dev machines, on one runner"),
+        ),
+        ("requests", "requests_per_s", "scalar_requests_per_s", "speedup",
+         "slo_attainment"),
+    ),
+    BenchSection(
+        "store", bench_store, "resume_speedup",
+        (Gate("resume_speedup", "min", 2.0, "a warm resume is typically "
+              ">10x faster; below 2x the store is recomputing"),),
+        ("runs", "cold_s", "warm_s", "warm_runs_executed", "resume_speedup"),
+    ),
+    BenchSection(
+        "serve", bench_serve, "speedup",
+        (Gate("speedup", "min", 2.0, "a warm daemon is ~5x faster than cold "
+              "engines; below 2x it rebuilds state it should keep"),),
+        ("jobs", "cold_s", "warm_s", "warm_dp_builds", "speedup"),
+    ),
+    BenchSection(
+        "dist", bench_dist, "speedup",
+        (Gate("speedup", "min", 2.5, "the synthetic sleeps overlap on any "
+              "core count, so 4 workers vs 1 measures scheduling (~2.9x)"),),
+        ("configs", "workers", "baseline_s", "dist_s", "chunks_stolen",
+         "speedup"),
+    ),
+    BenchSection(
+        "obs", bench_obs, "null_spans_per_s",
+        (Gate("disabled_overhead", "max", 0.05, "disabled tracing costs "
+              "well under 1% of the untraced QoS workload on dev machines"),),
+        ("null_span_ns", "spans_recorded", "disabled_overhead",
+         "enabled_overhead"),
+    ),
+)
+
+
 # -- orchestration ---------------------------------------------------------------
 
 
@@ -684,28 +749,10 @@ def run_bench(
     repeats: int | None = None,
 ) -> dict:
     """Run every section; returns ``{section: metrics}`` plus metadata."""
-    settings = default_bench_settings(quick)
-    if repeats is not None:
-        settings["repeats"] = repeats
-    report = {
-        "meta": _metadata(settings),
-        "lut_build": bench_lut_build(
-            model, block_count, time_steps, settings["repeats"]
-        ),
-        "lut_cache": bench_lut_cache(model, block_count, time_steps),
-        "sweep": bench_sweep(settings, model),
-        "lookup": bench_lookup(model, settings["lookups"]),
-        "runtime": bench_runtime(
-            model, settings["runtime_slices"], settings["repeats"]
-        ),
-        "qos": bench_qos(
-            model, settings["qos_slices"], settings["repeats"]
-        ),
-        "store": bench_store(settings, model),
-        "serve": bench_serve(settings, model),
-        "dist": bench_dist(settings, model),
-        "obs": bench_obs(settings, model),
-    }
+    settings = default_bench_settings(quick, block_count, time_steps, repeats)
+    report = {"meta": _metadata(settings)}
+    for section in SECTIONS:
+        report[section.name] = section.run(settings, model)
     # A machine-relative companion to requests_per_s: QoS requests
     # simulated per scalar-reference slice on the same box, so the perf
     # trajectory can separate simulator regressions from runner speed.
@@ -714,6 +761,21 @@ def run_bench(
         report["qos"]["requests_per_s"] / scalar_rate if scalar_rate else 0.0
     )
     return report
+
+
+def check_gates(report: dict) -> list[str]:
+    """One line per gate of :data:`SECTIONS` the report misses."""
+    failures = []
+    for section in SECTIONS:
+        for gate in section.gates:
+            value = report[section.name][gate.metric]
+            if not gate.holds(value):
+                bound = ">=" if gate.kind == "min" else "<="
+                failures.append(
+                    f"{section.name}.{gate.metric} is {value:.4g}, needs "
+                    f"{bound} {gate.threshold:g}: {gate.reason}"
+                )
+    return failures
 
 
 def write_reports(report: dict, out_dir) -> list:
@@ -731,86 +793,19 @@ def write_reports(report: dict, out_dir) -> list:
     return paths
 
 
+def _format(value) -> str:
+    if isinstance(value, int) or abs(value) >= 100:
+        return f"{value:,.0f}"
+    return f"{value:.3g}"
+
+
 def render_report(report: dict) -> str:
-    """Human-readable summary of a bench report."""
-    build = report["lut_build"]
-    cache = report["lut_cache"]
-    sweep = report["sweep"]
-    lookup = report["lookup"]
-    loop = report["runtime"]
-    qos = report["qos"]
-    store = report["store"]
-    serve = report["serve"]
-    dist = report["dist"]
-    obs = report["obs"]
-    lines = [
-        (
-            f"LUT build ({build['arch']}/{build['model']}, "
-            f"K={build['block_count']}, T={build['time_steps']} steps): "
-            f"vectorized {build['vectorized_s'] * 1e3:.1f} ms, "
-            f"scalar reference {build['scalar_s'] * 1e3:.1f} ms, "
-            f"speedup {build['speedup']:.1f}x"
-        ),
-        (
-            f"LUT cache: cold build+persist {cache['cold_s'] * 1e3:.1f} ms "
-            f"({cache['cold_dp_builds']} DP builds), warm load "
-            f"{cache['warm_s'] * 1e3:.1f} ms ({cache['warm_dp_builds']} DP "
-            f"builds), load speedup {cache['load_speedup']:.1f}x"
-        ),
-        (
-            f"sweep ({sweep['runs']} runs): cold "
-            f"{sweep['cold_runs_per_s']:.1f} runs/s, memory-warm "
-            f"{sweep['warm_runs_per_s']:.1f} runs/s, disk-warm "
-            f"{sweep['disk_warm_runs_per_s']:.1f} runs/s "
-            f"({sweep['disk_warm_dp_builds']} DP builds on the warm pass)"
-        ),
-        (
-            f"lookup ({lookup['lut_candidates']}-candidate LUT): "
-            f"{lookup['mean_us']:.2f} us/lookup "
-            f"({lookup['lookups_per_s']:,.0f} lookups/s)"
-        ),
-        (
-            f"runtime ({loop['slices']}-slice {loop['scenario']}): "
-            f"vectorized {loop['vectorized_slices_per_s']:,.0f} slices/s, "
-            f"scalar reference {loop['scalar_slices_per_s']:,.0f} slices/s, "
-            f"speedup {loop['speedup']:.1f}x"
-        ),
-        (
-            f"qos ({qos['requests']} requests over {qos['windows']} "
-            f"windows, mean fleet {qos['mean_fleet_size']:.1f}): "
-            f"vectorized {qos['requests_per_s']:,.0f} requests/s, "
-            f"scalar reference {qos['scalar_requests_per_s']:,.0f} "
-            f"requests/s, speedup {qos['speedup']:.1f}x "
-            f"({qos['slo_attainment']:.0%} SLO attainment)"
-        ),
-        (
-            f"store ({store['runs']} runs): cold compute+persist "
-            f"{store['cold_s'] * 1e3:.1f} ms, warm resume "
-            f"{store['warm_s'] * 1e3:.1f} ms "
-            f"({store['warm_runs_executed']} runs recomputed), "
-            f"resume speedup {store['resume_speedup']:.1f}x"
-        ),
-        (
-            f"serve ({serve['jobs']} qos jobs): cold per-process "
-            f"{serve['cold_s'] * 1e3:.1f} ms, warm daemon "
-            f"{serve['warm_s'] * 1e3:.1f} ms "
-            f"({serve['warm_dp_builds']} DP builds while warm), "
-            f"speedup {serve['speedup']:.1f}x"
-        ),
-        (
-            f"dist ({dist['configs']} configs, "
-            f"+{dist['run_stall_s'] * 1e3:.0f} ms synthetic cost each): "
-            f"1 worker {dist['baseline_s']:.2f} s, {dist['workers']} "
-            f"workers {dist['dist_s']:.2f} s "
-            f"({dist['chunks_completed']} chunks, "
-            f"{dist['chunks_stolen']} stolen), "
-            f"speedup {dist['speedup']:.1f}x"
-        ),
-        (
-            f"obs ({obs['requests']} requests, {obs['spans_recorded']} "
-            f"spans when traced): null span {obs['null_span_ns']:.0f} ns, "
-            f"disabled overhead {obs['disabled_overhead']:.2%}, "
-            f"enabled overhead {obs['enabled_overhead']:.1%}"
-        ),
-    ]
-    return "\n".join(lines)
+    """Human-readable summary: one line per section."""
+    return "\n".join(
+        f"{section.name:<10} "
+        + ", ".join(
+            f"{metric} {_format(report[section.name][metric])}"
+            for metric in section.summary
+        )
+        for section in SECTIONS
+    )

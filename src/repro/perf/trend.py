@@ -3,7 +3,8 @@
 ``repro trend`` reads two directories of ``BENCH_<section>.json``
 artifacts — the committed baselines at the repo root and a fresh
 ``repro bench --out`` run — and compares each section's *headline*
-metric (the one number its CI gate watches).  Every headline metric is
+metric (:attr:`BenchSection.headline <repro.perf.bench.BenchSection>`
+in :data:`~repro.perf.bench.SECTIONS`).  Every headline metric is
 higher-is-better (a speedup or a rate), so a section **regresses** when
 
     ``current < baseline * (1 - tolerance)``
@@ -21,30 +22,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ReproError
-from .bench import BENCH_PREFIX
+from .bench import BENCH_PREFIX, SECTIONS
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "HEADLINE_METRICS",
     "TrendDelta",
     "compare_reports",
     "render_markdown",
 ]
-
-#: Per-section headline metric — the number the CI perf gate watches.
-#: All of them are higher-is-better (a speedup or a throughput rate).
-HEADLINE_METRICS: dict[str, str] = {
-    "lut_build": "speedup",
-    "lut_cache": "load_speedup",
-    "sweep": "disk_warm_runs_per_s",
-    "lookup": "lookups_per_s",
-    "runtime": "speedup",
-    "qos": "speedup",
-    "store": "resume_speedup",
-    "serve": "speedup",
-    "dist": "speedup",
-    "obs": "null_spans_per_s",
-}
 
 #: Fractional slack before a lower headline metric counts as a
 #: regression; runner-to-runner jitter stays well inside 30%.
@@ -57,7 +42,7 @@ class TrendDelta:
 
     #: Bench section name (``lut_build``, ``qos``, ...).
     section: str
-    #: The headline metric compared, from :data:`HEADLINE_METRICS`.
+    #: The section's headline metric.
     metric: str
     #: Baseline value of the headline metric.
     baseline: float
@@ -103,7 +88,8 @@ def compare_reports(
             f"trend tolerance must be in [0, 1), got {tolerance}"
         )
     deltas = []
-    for section, metric in HEADLINE_METRICS.items():
+    for row in SECTIONS:
+        section, metric = row.name, row.headline
         baseline = _load_metrics(baseline_root, section)
         if baseline is None:
             continue

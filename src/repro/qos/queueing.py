@@ -37,9 +37,6 @@ exhausted (the remainder is reported as ``unfinished``).
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import numpy as np
 
 from ..core.runtime import SliceRecord, TimeSliceRuntime
@@ -47,6 +44,7 @@ from ..errors import QoSError
 from ..obs import events as _events
 from ..obs.tracing import span as _span
 from ..plugins import coerce_spec
+from ..reference import SCALAR_QOS
 from ..serving.dispatch import make_policy
 from ..serving.fleet import device_info
 from ..sim.events import EventQueue
@@ -71,28 +69,11 @@ __all__ = [
     "scalar_qos",
 ]
 
-#: Programmatic override of the REPRO_SCALAR_QOS environment switch.
-_FORCE_SCALAR_QOS: bool | None = None
-
-
-def use_scalar_qos() -> bool:
-    """Whether the scalar reference QoS event loop is selected."""
-    if _FORCE_SCALAR_QOS is not None:
-        return _FORCE_SCALAR_QOS
-    value = os.environ.get("REPRO_SCALAR_QOS", "").strip().lower()
-    return value in {"1", "true", "yes", "on"}
-
-
-@contextmanager
-def scalar_qos(enabled: bool = True):
-    """Force the scalar (or vectorized) QoS engine for the enclosed block."""
-    global _FORCE_SCALAR_QOS
-    previous = _FORCE_SCALAR_QOS
-    _FORCE_SCALAR_QOS = enabled
-    try:
-        yield
-    finally:
-        _FORCE_SCALAR_QOS = previous
+#: Whether the scalar reference QoS event loop is selected
+#: (``REPRO_SCALAR_QOS``).
+use_scalar_qos = SCALAR_QOS.enabled
+#: Force the scalar (or vectorized) QoS engine for the enclosed block.
+scalar_qos = SCALAR_QOS.forced
 
 
 # -- queue disciplines ----------------------------------------------------------------

@@ -1,14 +1,26 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.perf import SECTIONS
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Every ``(section name, gate)`` row of the bench table.
+GATES = [
+    pytest.param(section.name, gate, id=f"{section.name}.{gate.metric}")
+    for section in SECTIONS
+    for gate in section.gates
+]
 
 
 def run_cli(capsys, *argv):
@@ -185,17 +197,11 @@ class TestErrorExit:
                                           monkeypatch):
         monkeypatch.setenv("REPRO_LUT_CACHE", str(tmp_path / "cache"))
         out = run_cli(capsys, "bench", "--quick", "--blocks", "12",
-                      "--steps", "600", "--out", str(tmp_path),
-                      "--min-speedup", "1.0",
-                      "--min-runtime-speedup", "1.0",
-                      "--min-qos-throughput", "1.0")
+                      "--steps", "600", "--out", str(tmp_path))
         assert "speedup" in out
         names = {path.name for path in tmp_path.glob("BENCH_*.json")}
-        assert names == {"BENCH_lut_build.json", "BENCH_lut_cache.json",
-                         "BENCH_sweep.json", "BENCH_lookup.json",
-                         "BENCH_runtime.json", "BENCH_qos.json",
-                         "BENCH_store.json", "BENCH_serve.json",
-                         "BENCH_dist.json", "BENCH_obs.json"}
+        assert len(SECTIONS) == 10
+        assert names == {f"BENCH_{section.name}.json" for section in SECTIONS}
         runtime = json.loads((tmp_path / "BENCH_runtime.json").read_text())
         assert runtime["metrics"]["speedup"] > 0
         assert runtime["metrics"]["slices"] > 0
@@ -221,31 +227,51 @@ class TestErrorExit:
         assert serve["metrics"]["speedup"] > 0
         assert serve["metrics"]["jobs"] == len(serve["metrics"]["cases"])
 
-    def test_bench_gate_failure_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LUT_CACHE", str(tmp_path / "cache"))
-        code = main(["bench", "--quick", "--blocks", "12", "--steps", "600",
-                     "--out", str(tmp_path), "--min-speedup", "1e9"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "perf gate failed" in captured.err
+    @pytest.mark.parametrize("section, gate", GATES)
+    def test_bench_gate_passes_at_threshold_fails_past_it(
+        self, capsys, tmp_path, monkeypatch, section, gate
+    ):
+        """``--gate`` applies each table row to the report: a metric on
+        its threshold passes, one ulp past it exits 2 naming it."""
+        # The committed baselines stand in for a bench run, with every
+        # gated metric moved onto its threshold.
+        report = {"meta": {}}
+        for row in SECTIONS:
+            payload = json.loads(
+                (REPO_ROOT / f"BENCH_{row.name}.json").read_text()
+            )
+            report[row.name] = dict(
+                payload["metrics"],
+                **{g.metric: g.threshold for g in row.gates},
+            )
+        monkeypatch.setattr("repro.perf.run_bench", lambda **_: report)
+        argv = ["bench", "--gate", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
 
-    def test_bench_qos_gate_failure_exits_2(self, capsys, tmp_path,
-                                            monkeypatch):
-        monkeypatch.setenv("REPRO_LUT_CACHE", str(tmp_path / "cache"))
-        code = main(["bench", "--quick", "--blocks", "12", "--steps", "600",
-                     "--out", str(tmp_path), "--min-qos-throughput", "1e18"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "QoS simulator throughput" in captured.err
+        past = -math.inf if gate.kind == "min" else math.inf
+        report[section][gate.metric] = math.nextafter(gate.threshold, past)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "perf gate failed" in err
+        assert err.count("needs") == 1
+        assert f"{section}.{gate.metric} is" in err
 
-    def test_bench_qos_speedup_gate_failure_exits_2(self, capsys, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.setenv("REPRO_LUT_CACHE", str(tmp_path / "cache"))
-        code = main(["bench", "--quick", "--blocks", "12", "--steps", "600",
-                     "--out", str(tmp_path), "--min-qos-speedup", "1e9"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "vectorized QoS engine speedup" in captured.err
+    def test_bench_gates_are_the_ci_thresholds(self):
+        assert {
+            f"{section.name}.{gate.metric}": (gate.kind, gate.threshold)
+            for section in SECTIONS
+            for gate in section.gates
+        } == {
+            "lut_build.speedup": ("min", 1.0),
+            "runtime.speedup": ("min", 1.0),
+            "qos.requests_per_s": ("min", 200.0),
+            "qos.speedup": ("min", 5.0),
+            "store.resume_speedup": ("min", 2.0),
+            "serve.speedup": ("min", 2.0),
+            "dist.speedup": ("min", 2.5),
+            "obs.disabled_overhead": ("max", 0.05),
+        }
 
     def test_sweep_spill_needs_store(self, capsys):
         code = main(["sweep", "--model", "EfficientNet-B0", "--case", "1",

@@ -1,8 +1,15 @@
 """Tests for the storage-space pricing, the optimizer, the LUT and the
 time-slice runtime (shared reduced-resolution fixtures from conftest)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.arch import BASELINE_PIM, HH_PIM, HYBRID_PIM
 from repro.core import DataPlacementOptimizer, PlacementPolicy, SpaceKind
 from repro.core.runtime import TimeSliceRuntime, default_time_slice_ns
@@ -171,6 +178,39 @@ class TestOptimizer:
             hh_optimizer.movement(
                 {SpaceKind.HP_SRAM: 2}, {SpaceKind.HP_SRAM: 3}
             )
+
+    def test_movement_pricing_ignores_hash_seed(self):
+        """Blocks leaving three spaces (and the reverse) price to the
+        same bits whatever ``PYTHONHASHSEED`` orders the kinds by."""
+        script = textwrap.dedent("""
+            from repro.arch import HH_PIM
+            from repro.core import DataPlacementOptimizer, SpaceKind as K
+            from repro.workloads import EFFICIENTNET_B0
+
+            optimizer = DataPlacementOptimizer(
+                HH_PIM, EFFICIENTNET_B0, t_slice_ns=1e9,
+                block_count=16, time_steps=200,
+            )
+            for spread in [(3, 5, 7), (2, 9, 4)]:
+                old = dict(zip((K.HP_SRAM, K.HP_MRAM, K.LP_SRAM), spread))
+                new = {K.LP_MRAM: sum(spread)}
+                for a, b in [(old, new), (new, old)]:
+                    move = optimizer.movement(a, b)
+                    print(move.time_ns.hex(), move.energy_nj.hex())
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": str(seed)},
+                stdout=subprocess.PIPE, text=True,
+            )
+            for seed in range(4)
+        ]
+        outputs = {proc.communicate(timeout=120)[0] for proc in procs}
+        assert all(proc.returncode == 0 for proc in procs)
+        assert len(outputs) == 1
 
     def test_policy_defaults(self):
         from repro.arch import HETEROGENEOUS_PIM

@@ -12,6 +12,7 @@ parallel CI jobs from colliding.
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
@@ -23,6 +24,7 @@ from repro.dist import CoordinatorClient, SweepCoordinator
 from repro.dist.executor import distributed_sweep, spawn_worker
 from repro.service.client import RemoteError
 from repro.store import Store
+from repro.store.sharding import partition_chunks
 
 TINY = dict(block_count=SMALL_BLOCKS, time_steps=SMALL_STEPS, slices=4)
 
@@ -140,19 +142,27 @@ class TestKilledWorker:
         procs = {s.proc for s in trace.spans}
         worker_procs = {p for p in procs if p.startswith("worker:")}
         assert "coordinator" in procs
-        assert len(worker_procs) == 2
+        # One worker may drain every chunk before the other attaches,
+        # so only "some of the spawned workers" is guaranteed.
+        spawned = {f"worker:w{i}-{os.getpid()}" for i in range(2)}
+        assert worker_procs and worker_procs <= spawned
 
         # Exactly one completed chunk span per chunk, recorded by the
         # worker that ran it, with the engine's spans merged alongside.
         chunks = [s for s in trace.spans if s.name == "worker.chunk"]
         completed = [s for s in chunks if s.args.get("completed")]
-        chunk_ids = sorted(s.args["chunk"] for s in completed)
-        assert chunk_ids == sorted(set(chunk_ids))
-        assert sum(s.args["configs"] for s in completed) == len(grid)
+        expected = [
+            (index, len(chunk))
+            for index, chunk in enumerate(partition_chunks(grid, 2))
+        ]
+        assert sorted(
+            (s.args["chunk"], s.args["configs"]) for s in completed
+        ) == expected
+        assert sum(size for _, size in expected) == len(grid)
         assert {s.proc for s in chunks} <= worker_procs
 
         claims = [s for s in trace.spans if s.name == "worker.claim"]
-        assert {s.proc for s in claims} == worker_procs
+        assert {s.proc for s in claims} <= worker_procs
         names = {s.name for s in trace.spans}
         assert {"dist.sweep", "engine.run_many", "engine.run"} <= names
 

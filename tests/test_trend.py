@@ -15,10 +15,13 @@ from repro.cli import main
 from repro.errors import ReproError
 from repro.perf import (
     DEFAULT_TOLERANCE,
-    HEADLINE_METRICS,
+    SECTIONS,
     compare_reports,
     render_markdown,
 )
+
+#: Each section's headline metric, from the bench section table.
+HEADLINE_METRICS = {section.name: section.headline for section in SECTIONS}
 
 
 def write_artifacts(directory, values):
