@@ -35,108 +35,61 @@ The lower-level constructors (:class:`TimeSliceRuntime`,
 and unchanged for callers that want to wire the pipeline by hand.
 """
 
-from .arch.specs import (
-    ArchitectureSpec,
-    BASELINE_PIM,
-    ClusterSpec,
-    HETEROGENEOUS_PIM,
-    HH_PIM,
-    HYBRID_PIM,
-    TABLE_I,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".arch.specs": (
+            "ArchitectureSpec",
+            "BASELINE_PIM",
+            "ClusterSpec",
+            "HETEROGENEOUS_PIM",
+            "HH_PIM",
+            "HYBRID_PIM",
+            "TABLE_I",
+        ),
+        ".arch.processor": ("PimFabric", "Processor"),
+        ".core.lut": ("AllocationLUT", "Placement"),
+        ".core.placement": ("DataPlacementOptimizer", "PlacementPolicy"),
+        ".core.runtime": (
+            "RunResult",
+            "SliceRecord",
+            "TimeSliceRuntime",
+            "default_time_slice_ns",
+            "scalar_runtime",
+        ),
+        ".core.spaces": ("SpaceKind", "StorageSpace"),
+        ".errors": ("ReproError",),
+        ".qos": ("Autoscaler", "QoSResult", "QoSSimulator", "QueueDiscipline"),
+        ".serving": ("DispatchPolicy", "Fleet", "FleetResult"),
+        ".workloads.arrivals": ("ArrivalProcess",),
+        ".workloads.models": (
+            "EFFICIENTNET_B0",
+            "MOBILENET_V2",
+            "ModelSpec",
+            "RESNET_18",
+            "TABLE_IV",
+            "model_by_name",
+        ),
+        ".workloads.scenarios": ("Scenario", "ScenarioCase", "scenario"),
+        ".api": (
+            "ARCHITECTURES",
+            "DISPATCH",
+            "Engine",
+            "ExperimentConfig",
+            "MODELS",
+            "POLICIES",
+            "ResultSet",
+            "RunRecord",
+            "SCENARIOS",
+            "register_architecture",
+            "register_model",
+            "register_scenario",
+        ),
+        ".store": ("Store",),
+    },
 )
-from .arch.processor import PimFabric, Processor
-from .core.lut import AllocationLUT, Placement
-from .core.placement import DataPlacementOptimizer, PlacementPolicy
-from .core.runtime import (
-    RunResult,
-    SliceRecord,
-    TimeSliceRuntime,
-    default_time_slice_ns,
-    scalar_runtime,
-)
-from .core.spaces import SpaceKind, StorageSpace
-from .errors import ReproError
-from .qos import Autoscaler, QoSResult, QoSSimulator, QueueDiscipline
-from .serving import DispatchPolicy, Fleet, FleetResult
-from .workloads.arrivals import ArrivalProcess
-from .workloads.models import (
-    EFFICIENTNET_B0,
-    MOBILENET_V2,
-    ModelSpec,
-    RESNET_18,
-    TABLE_IV,
-    model_by_name,
-)
-from .workloads.scenarios import Scenario, ScenarioCase, scenario
-from .api import (
-    ARCHITECTURES,
-    DISPATCH,
-    Engine,
-    ExperimentConfig,
-    MODELS,
-    POLICIES,
-    ResultSet,
-    RunRecord,
-    SCENARIOS,
-    register_architecture,
-    register_model,
-    register_scenario,
-)
-from .store import Store
+__all__.append("__version__")
 
 __version__ = "1.2.0"
-
-__all__ = [
-    "ArchitectureSpec",
-    "ClusterSpec",
-    "BASELINE_PIM",
-    "HETEROGENEOUS_PIM",
-    "HYBRID_PIM",
-    "HH_PIM",
-    "TABLE_I",
-    "PimFabric",
-    "Processor",
-    "AllocationLUT",
-    "Placement",
-    "DataPlacementOptimizer",
-    "PlacementPolicy",
-    "RunResult",
-    "SliceRecord",
-    "TimeSliceRuntime",
-    "default_time_slice_ns",
-    "scalar_runtime",
-    "SpaceKind",
-    "StorageSpace",
-    "ReproError",
-    "ArrivalProcess",
-    "DispatchPolicy",
-    "Fleet",
-    "FleetResult",
-    "Autoscaler",
-    "QoSResult",
-    "QoSSimulator",
-    "QueueDiscipline",
-    "EFFICIENTNET_B0",
-    "MOBILENET_V2",
-    "RESNET_18",
-    "ModelSpec",
-    "TABLE_IV",
-    "model_by_name",
-    "Scenario",
-    "ScenarioCase",
-    "scenario",
-    "ARCHITECTURES",
-    "MODELS",
-    "SCENARIOS",
-    "POLICIES",
-    "DISPATCH",
-    "Engine",
-    "ExperimentConfig",
-    "ResultSet",
-    "RunRecord",
-    "Store",
-    "register_architecture",
-    "register_model",
-    "register_scenario",
-    "__version__",
-]

@@ -1,35 +1,27 @@
 """Analysis: savings grids (Fig. 5 / Table VI), figures, fleet and QoS reports."""
 
-from .savings import (
-    SavingsCell,
-    SavingsGrid,
-    compute_savings_grid,
-    table_vi,
-    average_savings,
-)
-from .figures import render_fig4, render_fig5, render_fig6, fig6_series, sparkline
-from .fleet import fleet_table, render_fleet
-from .qos import qos_strips, qos_table, render_qos
-from .reporting import TextTable
-from .sweeps import render_store, stored_results
+from .._lazy import lazy_exports
 
-__all__ = [
-    "fleet_table",
-    "render_fleet",
-    "qos_table",
-    "qos_strips",
-    "render_qos",
-    "sparkline",
-    "SavingsCell",
-    "SavingsGrid",
-    "compute_savings_grid",
-    "table_vi",
-    "average_savings",
-    "render_fig4",
-    "render_fig5",
-    "render_fig6",
-    "fig6_series",
-    "TextTable",
-    "render_store",
-    "stored_results",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".savings": (
+            "SavingsCell",
+            "SavingsGrid",
+            "compute_savings_grid",
+            "table_vi",
+            "average_savings",
+        ),
+        ".figures": (
+            "render_fig4",
+            "render_fig5",
+            "render_fig6",
+            "fig6_series",
+            "sparkline",
+        ),
+        ".fleet": ("fleet_table", "render_fleet"),
+        ".qos": ("qos_strips", "qos_table", "render_qos"),
+        ".reporting": ("TextTable",),
+        ".sweeps": ("render_store", "stored_results"),
+    },
+)

@@ -9,12 +9,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..core.lut import AllocationLUT
 from ..core.spaces import SpaceKind
 from ..errors import ConfigurationError
 from ..workloads.scenarios import Scenario
-from .savings import BASELINE_NAMES, SavingsGrid
+
+if TYPE_CHECKING:  # savings loads the engine; only render_fig5 needs it
+    from .savings import SavingsGrid
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
@@ -44,6 +47,8 @@ def render_fig4(scenarios) -> str:
 
 def render_fig5(grid: SavingsGrid) -> str:
     """Grouped text bars: savings per model, scenario and baseline."""
+    from .savings import BASELINE_NAMES
+
     lines = []
     for model in grid.models():
         lines.append(f"== {model} ==")

@@ -27,48 +27,32 @@ Quickstart::
     results.to_csv("runs.csv")
 """
 
-from .config import ExperimentConfig
-from .engine import Engine, EngineStats, shared_engine
-from .registry import (
-    ARCHITECTURES,
-    AUTOSCALERS,
-    DISPATCH,
-    MODELS,
-    POLICIES,
-    QOS,
-    Registry,
-    SCENARIOS,
-    register_architecture,
-    register_model,
-    register_scenario,
-)
-from .results import (
-    AggregateStats,
-    FleetRecord,
-    ResultSet,
-    RunRecord,
-    StoredResultSet,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ARCHITECTURES",
-    "AUTOSCALERS",
-    "DISPATCH",
-    "MODELS",
-    "POLICIES",
-    "QOS",
-    "SCENARIOS",
-    "Registry",
-    "register_architecture",
-    "register_model",
-    "register_scenario",
-    "ExperimentConfig",
-    "Engine",
-    "EngineStats",
-    "shared_engine",
-    "AggregateStats",
-    "FleetRecord",
-    "ResultSet",
-    "RunRecord",
-    "StoredResultSet",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("ExperimentConfig",),
+        ".engine": ("Engine", "EngineStats", "shared_engine"),
+        ".registry": (
+            "ARCHITECTURES",
+            "AUTOSCALERS",
+            "DISPATCH",
+            "MODELS",
+            "POLICIES",
+            "QOS",
+            "Registry",
+            "SCENARIOS",
+            "register_architecture",
+            "register_model",
+            "register_scenario",
+        ),
+        ".results": (
+            "AggregateStats",
+            "FleetRecord",
+            "ResultSet",
+            "RunRecord",
+            "StoredResultSet",
+        ),
+    },
+)

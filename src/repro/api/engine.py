@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ..core import lutcache
@@ -670,6 +669,10 @@ class Engine:
         if not groups:
             drain_cached()
         else:
+            # Imported here: it loads multiprocessing, socket and logging,
+            # which no serial run needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
                     key: pool.submit(_run_group, resolved, jobs)

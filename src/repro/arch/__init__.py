@@ -6,25 +6,20 @@ Table I presets (Baseline-, Heterogeneous-, Hybrid- and HH-PIM);
 instruction queue, controllers and clusters — around any spec.
 """
 
-from .specs import (
-    ArchitectureSpec,
-    ClusterSpec,
-    BASELINE_PIM,
-    HETEROGENEOUS_PIM,
-    HYBRID_PIM,
-    HH_PIM,
-    TABLE_I,
-)
-from .processor import PimFabric, Processor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArchitectureSpec",
-    "ClusterSpec",
-    "BASELINE_PIM",
-    "HETEROGENEOUS_PIM",
-    "HYBRID_PIM",
-    "HH_PIM",
-    "TABLE_I",
-    "PimFabric",
-    "Processor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".specs": (
+            "ArchitectureSpec",
+            "ClusterSpec",
+            "BASELINE_PIM",
+            "HETEROGENEOUS_PIM",
+            "HYBRID_PIM",
+            "HH_PIM",
+            "TABLE_I",
+        ),
+        ".processor": ("PimFabric", "Processor"),
+    },
+)

@@ -38,6 +38,9 @@ batch over a process pool (with ``sweep --store DIR`` it instead
 spawns that many work-stealing worker processes; 0 starts a
 coordinator alone for ``repro sweep-worker`` to attach to).  Library failures (bad configuration,
 infeasible placements) exit with code 2 and a one-line error.
+
+Each handler imports the subsystem it runs, and building the parser
+loads no numpy, so a command pays start-up only for what it uses.
 """
 
 from __future__ import annotations
@@ -45,35 +48,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis import (
-    TextTable,
-    render_fig4,
-    render_fig6,
-    render_fleet,
-    render_qos,
-    sparkline,
-)
-from .api import (
-    ARCHITECTURES,
-    AUTOSCALERS,
-    DISPATCH,
-    MODELS,
-    POLICIES,
-    QOS,
-    SCENARIOS,
-    ExperimentConfig,
-)
-from .api.engine import shared_engine
-from .arch import TABLE_I
-from .core import lutcache
-from .core.placement import DEFAULT_BLOCK_COUNT, DEFAULT_TIME_STEPS
-from .energy import table_v_rows
 from .errors import ReproError
-from .fpga import table_ii_report
-from .workloads import ALL_CASES, TABLE_IV, scenario
 
 
 def _cmd_table1(_args) -> str:
+    from .analysis import TextTable
+    from .arch import TABLE_I
+
     table = TextTable(["Architecture", "Modules", "Memory per module"])
     for spec in TABLE_I:
         modules = f"{spec.hp.module_count} HP"
@@ -88,12 +69,16 @@ def _cmd_table1(_args) -> str:
 
 
 def _cmd_table2(_args) -> str:
+    from .fpga import table_ii_report
+
     return table_ii_report().render()
 
 
 def _cmd_table3(_args) -> str:
+    from .analysis import TextTable
     from .memory import NvSimModel, PE_45NM, SRAM_45NM, STT_MRAM_45NM
     from .memory.technology import HP_VDD, LP_VDD
+
     table = TextTable(["Latency (ns)", "MRAM R", "MRAM W", "SRAM R",
                        "SRAM W", "PE"])
     for label, vdd in (("HP-PIM (1.2V)", HP_VDD), ("LP-PIM (0.8V)", LP_VDD)):
@@ -109,6 +94,9 @@ def _cmd_table3(_args) -> str:
 
 
 def _cmd_table4(_args) -> str:
+    from .analysis import TextTable
+    from .workloads import TABLE_IV
+
     table = TextTable(["Model", "# Param", "# MAC", "PIM ops"])
     for model in TABLE_IV:
         table.add_row(model.name, model.params, model.macs,
@@ -117,6 +105,9 @@ def _cmd_table4(_args) -> str:
 
 
 def _cmd_table5(_args) -> str:
+    from .analysis import TextTable
+    from .energy import table_v_rows
+
     table = TextTable(["Power (mW)", "MRAM R/W", "MRAM static",
                        "SRAM R/W", "SRAM static", "PE dyn/static"])
     for row in table_v_rows():
@@ -132,10 +123,16 @@ def _cmd_table5(_args) -> str:
 
 
 def _cmd_fig4(args) -> str:
+    from .analysis import render_fig4
+    from .workloads import ALL_CASES, scenario
+
     return render_fig4([scenario(case, slices=args.slices) for case in ALL_CASES])
 
 
 def _cmd_fig6(args) -> str:
+    from .analysis import render_fig6
+    from .api import MODELS, ExperimentConfig, shared_engine
+
     config = ExperimentConfig(
         arch="HH-PIM", model=MODELS.canonical(args.model),
         block_count=args.blocks, time_steps=args.steps,
@@ -144,7 +141,9 @@ def _cmd_fig6(args) -> str:
     return render_fig6(runtime.lut, points=args.points)
 
 
-def _base_config(args) -> ExperimentConfig:
+def _base_config(args):
+    from .api import ExperimentConfig
+
     return ExperimentConfig(
         slices=args.slices, block_count=args.blocks, time_steps=args.steps,
         lut_cache=not getattr(args, "no_cache", False),
@@ -158,8 +157,10 @@ def _resolve_axis(values, registry) -> list:
     return [registry.canonical(value) for value in values]
 
 
-def _results_table(results) -> TextTable:
+def _results_table(results):
     """Per-run comparison table with savings against HH-PIM if present."""
+    from .analysis import TextTable
+
     hh = {
         (r.model, r.scenario): r.total_energy_nj
         for r in results
@@ -188,6 +189,9 @@ def _results_table(results) -> TextTable:
 def _cmd_run(args) -> str:
     import json
 
+    from .api import ARCHITECTURES, MODELS, shared_engine
+    from .workloads import ALL_CASES
+
     engine = shared_engine()
     configs = _base_config(args).sweep(
         arch=_resolve_axis(args.arch, ARCHITECTURES),
@@ -213,7 +217,10 @@ def _cmd_run(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
+    from .analysis import TextTable
+    from .api import ARCHITECTURES, MODELS, shared_engine
     from .store import Store, parse_shard, select_shard
+    from .workloads import ALL_CASES
 
     # Reject malformed/out-of-range shards before any grid work so the
     # failure is a clean one-liner, not a traceback mid-expansion.
@@ -312,6 +319,16 @@ def _cmd_sweep(args) -> str:
 def _cmd_fleet(args) -> str:
     import json
 
+    from .analysis import render_fleet
+    from .api import (
+        ARCHITECTURES,
+        DISPATCH,
+        MODELS,
+        SCENARIOS,
+        ExperimentConfig,
+        shared_engine,
+    )
+
     engine = shared_engine()
     config = ExperimentConfig(
         arch=ARCHITECTURES.canonical(args.arch),
@@ -338,8 +355,18 @@ def _cmd_fleet(args) -> str:
     return header + "\n\n" + render_fleet(result)
 
 
-def _qos_config(args) -> ExperimentConfig:
+def _qos_config(args):
     """The fully keyed config behind ``repro qos`` and ``repro submit``."""
+    from .api import (
+        ARCHITECTURES,
+        AUTOSCALERS,
+        DISPATCH,
+        MODELS,
+        QOS,
+        SCENARIOS,
+        ExperimentConfig,
+    )
+
     return ExperimentConfig(
         arch=ARCHITECTURES.canonical(args.arch),
         model=MODELS.canonical(args.model),
@@ -362,6 +389,9 @@ def _qos_config(args) -> ExperimentConfig:
 
 def _cmd_qos(args) -> str:
     import json
+
+    from .analysis import render_qos
+    from .api import shared_engine
 
     engine = shared_engine()
     config = _qos_config(args)
@@ -604,6 +634,9 @@ def _cmd_shutdown(args) -> str:
 
 def _cmd_scenarios(args) -> str:
     """Preview every registered scenario as a sparkline strip."""
+    from .analysis import sparkline
+    from .api import SCENARIOS, ExperimentConfig, shared_engine
+
     engine = shared_engine()
     keys = [SCENARIOS.canonical(args.only)] if args.only else SCENARIOS.keys()
     width = max(len(key) for key in keys)
@@ -630,6 +663,7 @@ def _cmd_scenarios(args) -> str:
 def _cmd_bench(args) -> str:
     import json
 
+    from .api import MODELS
     from .perf import check_gates, render_report, run_bench, write_reports
 
     report = run_bench(
@@ -722,6 +756,8 @@ def _cmd_docs(args) -> str:
 
 
 def _cmd_cache(args) -> str:
+    from .core import lutcache
+
     if args.action == "clear":
         removed = lutcache.clear()
         return f"removed {removed} cached LUT entries from {lutcache.cache_dir()}"
@@ -737,6 +773,17 @@ def _cmd_cache(args) -> str:
 
 
 def _cmd_list(_args) -> str:
+    from .api import (
+        ARCHITECTURES,
+        AUTOSCALERS,
+        DISPATCH,
+        MODELS,
+        POLICIES,
+        QOS,
+        SCENARIOS,
+    )
+    from .workloads import ALL_CASES
+
     lines = ["architectures:"]
     lines += [f"  {name}" for name in ARCHITECTURES.keys()]
     lines.append("models:")
@@ -795,7 +842,7 @@ def _add_qos_config_args(parser) -> None:
 
 def _add_client_args(parser) -> None:
     """The daemon-address flags shared by the serve client verbs."""
-    from .service.daemon import DEFAULT_HOST, DEFAULT_PORT
+    from .service.protocol import DEFAULT_HOST, DEFAULT_PORT
 
     parser.add_argument("--host", default=DEFAULT_HOST,
                         help=f"daemon address (default: {DEFAULT_HOST})")
@@ -832,13 +879,28 @@ def _version() -> str:
         return f"{__version__} (source tree)"
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that looks the version up only when it is given."""
+
+    def __init__(self, option_strings, dest, **kwargs) -> None:
+        super().__init__(
+            option_strings, dest=argparse.SUPPRESS, default=argparse.SUPPRESS,
+            nargs=0, help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(f"{parser.prog} {_version()}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
+    from .core.defaults import DEFAULT_BLOCK_COUNT, DEFAULT_TIME_STEPS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HH-PIM (DAC 2025) reproduction toolkit",
     )
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {_version()}")
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("table1", "table2", "table3", "table4", "table5", "list"):
         table = sub.add_parser(name)

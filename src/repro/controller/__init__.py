@@ -7,21 +7,15 @@ per-module commands, and owns a Data Allocator whose Data Rearrange Buffer
 and Address Generator implement safe inter-cluster data movement.
 """
 
-from .state_machine import ControllerState, StateMachine
-from .decoder import DecodedInstruction, InstructionDecoder
-from .encoder import CommandEncoder, ModuleCommand
-from .allocator import AddressGenerator, DataAllocator, DataRearrangeBuffer
-from .controller import PIMController
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ControllerState",
-    "StateMachine",
-    "DecodedInstruction",
-    "InstructionDecoder",
-    "CommandEncoder",
-    "ModuleCommand",
-    "AddressGenerator",
-    "DataAllocator",
-    "DataRearrangeBuffer",
-    "PIMController",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".state_machine": ("ControllerState", "StateMachine"),
+        ".decoder": ("DecodedInstruction", "InstructionDecoder"),
+        ".encoder": ("CommandEncoder", "ModuleCommand"),
+        ".allocator": ("AddressGenerator", "DataAllocator", "DataRearrangeBuffer"),
+        ".controller": ("PIMController",),
+    },
+)

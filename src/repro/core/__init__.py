@@ -18,44 +18,28 @@ Pipeline (paper, Section III):
    per-slice reallocation, movement-overhead accounting and power gating.
 """
 
-from .spaces import (
-    CORE_MAC_TIME_NS,
-    PIM_LATENCY_SCALE,
-    SpaceKind,
-    StorageSpace,
-    build_spaces,
-)
-from .knapsack import (
-    ClusterDpResult,
-    dp_build_count,
-    knapsack_min_energy,
-    reconstruct_counts,
-    scalar_dp,
-)
-from .combine import CombinedRow, set_allocation_state, unique_allocation_rows
-from .lut import AllocationLUT, Placement
-from .placement import DataPlacementOptimizer, PlacementPolicy
-from .runtime import RunResult, SliceRecord, TimeSliceRuntime
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CORE_MAC_TIME_NS",
-    "PIM_LATENCY_SCALE",
-    "SpaceKind",
-    "StorageSpace",
-    "build_spaces",
-    "ClusterDpResult",
-    "dp_build_count",
-    "knapsack_min_energy",
-    "reconstruct_counts",
-    "scalar_dp",
-    "CombinedRow",
-    "set_allocation_state",
-    "unique_allocation_rows",
-    "AllocationLUT",
-    "Placement",
-    "DataPlacementOptimizer",
-    "PlacementPolicy",
-    "RunResult",
-    "SliceRecord",
-    "TimeSliceRuntime",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".spaces": (
+            "CORE_MAC_TIME_NS",
+            "PIM_LATENCY_SCALE",
+            "SpaceKind",
+            "StorageSpace",
+            "build_spaces",
+        ),
+        ".knapsack": (
+            "ClusterDpResult",
+            "dp_build_count",
+            "knapsack_min_energy",
+            "reconstruct_counts",
+            "scalar_dp",
+        ),
+        ".combine": ("CombinedRow", "set_allocation_state", "unique_allocation_rows"),
+        ".lut": ("AllocationLUT", "Placement"),
+        ".placement": ("DataPlacementOptimizer", "PlacementPolicy"),
+        ".runtime": ("RunResult", "SliceRecord", "TimeSliceRuntime"),
+    },
+)

@@ -41,7 +41,6 @@ import hashlib
 import json
 import os
 import pickle
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -188,6 +187,8 @@ def store(digest: str, value) -> bool:
     renamed into place, so concurrent writers (sweep workers racing on
     the same LUT) never expose a partial entry.
     """
+    import uuid  # loads platform: only cache writes need it
+
     path = _entry_path(digest)
     payload = {
         "version": CACHE_VERSION,

@@ -26,24 +26,13 @@ from ..isa.encoding import ClusterId
 from ..pim.cluster import PIMCluster
 from ..workloads.models import ModelSpec
 from .combine import set_allocation_state, unique_allocation_rows
+from .defaults import DEFAULT_BLOCK_COUNT, DEFAULT_TIME_STEPS
 from .knapsack import knapsack_min_energy, use_scalar_dp
 from .lut import AllocationLUT, Placement
 from .spaces import PIM_LATENCY_SCALE, SpaceKind, StorageSpace, build_spaces
 
 #: Position of each space kind in declaration order.
 _KIND_ORDER = {kind: index for index, kind in enumerate(SpaceKind)}
-
-#: Default number of weight blocks (the paper's resolution limiting: K is
-#: reduced from raw weight counts to keep LUT construction under 1 % of a
-#: time slice).
-DEFAULT_BLOCK_COUNT = 120
-
-#: Cap on the number of time steps spanning one time slice.  The actual
-#: step is derived from the block times (see ``_choose_time_step``) so
-#: that spaces with different speeds stay distinguishable after
-#: quantisation; the cap bounds DP memory/time, mirroring the paper's
-#: resolution limiting.
-DEFAULT_TIME_STEPS = 24000
 
 #: Time-step granularity relative to the fastest space's block time.
 TIME_QUANT = 12

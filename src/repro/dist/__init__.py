@@ -22,16 +22,14 @@ attaches another process — on any machine sharing the store — to a
 running coordinator.
 """
 
-from .coordinator import SweepCoordinator
-from .executor import distributed_sweep
-from .leases import Lease, LeaseManager
-from .worker import CoordinatorClient, run_worker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SweepCoordinator",
-    "distributed_sweep",
-    "Lease",
-    "LeaseManager",
-    "CoordinatorClient",
-    "run_worker",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".coordinator": ("SweepCoordinator",),
+        ".executor": ("distributed_sweep",),
+        ".leases": ("Lease", "LeaseManager"),
+        ".worker": ("CoordinatorClient", "run_worker"),
+    },
+)

@@ -25,17 +25,16 @@ STATUS as the JSON body ``repro status --json`` renders.
 from __future__ import annotations
 
 import os
-import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..api.config import ExperimentConfig
 from ..errors import ProtocolError, ServiceError
 from ..obs import events as obs_events
 from ..obs import tracing as obs_tracing
 from ..service import protocol
-from ..service.daemon import DEFAULT_HOST, _Handler
+from ..service.protocol import DEFAULT_HOST
+from ..service.server import FrameServer
 from ..service.telemetry import MetricsRegistry
 from ..store.sharding import partition_chunks
 from .leases import LeaseManager
@@ -50,8 +49,9 @@ DEFAULT_CHUNK_SIZE = 8
 #: worker may steal it.
 DEFAULT_LEASE_S = 30.0
 
-#: What an idle worker is told to wait before re-CLAIMing when every
-#: remaining chunk is under a live lease.
+#: When every remaining chunk is under a live lease, a CLAIM is held up
+#: to this long for the sweep to finish before its EMPTY reply, which
+#: tells the worker to re-CLAIM this long after it sent the CLAIM.
 RETRY_S = 0.5
 
 
@@ -83,11 +83,6 @@ class _Worker:
         """Configs per second over this worker's observed lifetime."""
         elapsed = max(now - self.first_seen, 1e-9)
         return (self.configs_completed + self.inflight) / elapsed
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = False
-    daemon_threads = True
 
 
 class SweepCoordinator:
@@ -140,7 +135,7 @@ class SweepCoordinator:
         self._done = threading.Event()
         if not self._chunks:
             self._done.set()
-        self._server: _Server | None = None
+        self._server: FrameServer | None = None
         self._started_s: float | None = None
         self.metrics = MetricsRegistry()
         sweep = "repro_dist_sweep"
@@ -165,15 +160,12 @@ class SweepCoordinator:
         if self._server is not None:
             raise ServiceError("coordinator already started")
         try:
-            self._server = _Server((self.host, self.requested_port), _Handler)
+            self._server = FrameServer((self.host, self.requested_port), self)
         except OSError as error:
             raise ServiceError(
                 f"cannot listen on {self.host}:{self.requested_port}: "
                 f"{error.strerror or error}"
             ) from error
-        # _Handler reads `server.serve_daemon`; anything with a
-        # dispatch() fits.
-        self._server.serve_daemon = self
         self._started_s = time.monotonic()
         acceptor = threading.Thread(
             target=self._server.serve_forever,
@@ -283,20 +275,20 @@ class SweepCoordinator:
 
     def _handle_claim(self, message: dict) -> dict:
         worker = message["worker"]
-        with self._lock:
-            self._touch(worker)
-            granted, stolen = self._next_grant(worker)
-            if granted is None:
-                return {
-                    "v": protocol.PROTOCOL_VERSION,
-                    "type": "EMPTY",
-                    "done": self._done.is_set(),
-                    "retry_s": RETRY_S,
-                }
-            granted.grants += 1
-            granted.completed = 0
-            if stolen:
-                self._m_stolen.inc()
+        granted, stolen = self._grant(worker)
+        if granted is None and not self._done.is_set():
+            # Hold the idle worker (outside the lock) until the sweep
+            # ends, so it exits with the last COMPLETE instead of up to
+            # RETRY_S later; then look again, as a lease may have expired.
+            self._done.wait(RETRY_S)
+            granted, stolen = self._grant(worker)
+        if granted is None:
+            return {
+                "v": protocol.PROTOCOL_VERSION,
+                "type": "EMPTY",
+                "done": self._done.is_set(),
+                "retry_s": RETRY_S,
+            }
         self.events.emit(
             "chunk_granted", chunk=granted.index, worker=worker,
             configs=len(granted.configs), stolen=int(stolen),
@@ -312,6 +304,19 @@ class SweepCoordinator:
         if obs_tracing.active_tracer() is not None:
             reply["trace"] = True
         return reply
+
+    def _grant(self, worker: str):
+        """Grant ``worker`` the next claimable chunk, if any, under the
+        lock; returns ``(chunk, stolen)`` like :meth:`_next_grant`."""
+        with self._lock:
+            self._touch(worker)
+            granted, stolen = self._next_grant(worker)
+            if granted is not None:
+                granted.grants += 1
+                granted.completed = 0
+                if stolen:
+                    self._m_stolen.inc()
+        return granted, stolen
 
     def _next_grant(self, worker: str):
         """The best claimable chunk: fresh first, then expired grants.

@@ -215,7 +215,10 @@ def run_worker(host: str, port: int, worker: str | None = None,
             if not granted:
                 if reply.get("done"):
                     break
-                time.sleep(float(reply.get("retry_s", 0.5)))
+                # retry_s paces CLAIMs from when each was sent: a
+                # coordinator that held this one has already waited.
+                held_s = (claim_end - claim_start) / 1e9
+                time.sleep(max(0.0, float(reply.get("retry_s", 0.5)) - held_s))
                 continue
             chunk = reply["chunk"]
             configs = tuple(

@@ -1,6 +1,11 @@
 """Energy: the Table V power model and component-level accounting."""
 
-from .power import PowerRow, power_row, table_v_rows
-from .accounting import EnergyAccount
+from .._lazy import lazy_exports
 
-__all__ = ["PowerRow", "power_row", "table_v_rows", "EnergyAccount"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".power": ("PowerRow", "power_row", "table_v_rows"),
+        ".accounting": ("EnergyAccount",),
+    },
+)

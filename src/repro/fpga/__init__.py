@@ -1,15 +1,15 @@
 """FPGA resource estimation (Table II)."""
 
-from .resources import (
-    ResourceReport,
-    Resources,
-    estimate_processor,
-    table_ii_report,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ResourceReport",
-    "Resources",
-    "estimate_processor",
-    "table_ii_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".resources": (
+            "ResourceReport",
+            "Resources",
+            "estimate_processor",
+            "table_ii_report",
+        ),
+    },
+)

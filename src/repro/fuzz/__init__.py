@@ -10,41 +10,28 @@ replays on every run.  ``repro fuzz --seed N --cases K`` is the CLI
 entry point; see ``docs/FUZZING.md`` for the workflow.
 """
 
-from .generator import FuzzCase, generate_case, generate_cases
-from .harness import (
-    INVARIANTS,
-    CaseReport,
-    FuzzReport,
-    Violation,
-    check_case,
-    replay_stored,
-    report_json,
-    run_fuzz,
-)
-from .programs import (
-    build_program,
-    program_label,
-    program_size,
-    random_program,
-)
-from .shrink import case_size, shrink_case
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FuzzCase",
-    "generate_case",
-    "generate_cases",
-    "INVARIANTS",
-    "CaseReport",
-    "FuzzReport",
-    "Violation",
-    "check_case",
-    "replay_stored",
-    "report_json",
-    "run_fuzz",
-    "build_program",
-    "program_label",
-    "program_size",
-    "random_program",
-    "case_size",
-    "shrink_case",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".generator": ("FuzzCase", "generate_case", "generate_cases"),
+        ".harness": (
+            "INVARIANTS",
+            "CaseReport",
+            "FuzzReport",
+            "Violation",
+            "check_case",
+            "replay_stored",
+            "report_json",
+            "run_fuzz",
+        ),
+        ".programs": (
+            "build_program",
+            "program_label",
+            "program_size",
+            "random_program",
+        ),
+        ".shrink": ("case_size", "shrink_case"),
+    },
+)

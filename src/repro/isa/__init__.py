@@ -8,52 +8,34 @@ queue, and a small text assembler used by the examples and the RISC-V
 driver programs.
 """
 
-from .encoding import (
-    Category,
-    ClusterId,
-    FIELD_LAYOUT,
-    decode_word,
-    encode_fields,
-)
-from .instructions import (
-    BROADCAST_MODULE,
-    Compute,
-    ComputeOp,
-    Config,
-    ConfigOp,
-    GateTarget,
-    Halt,
-    LoadOperands,
-    Move,
-    PimInstruction,
-    StoreResult,
-    Sync,
-    decode,
-)
-from .queue import InstructionQueue
-from .assembler import assemble, assemble_line, disassemble
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Category",
-    "ClusterId",
-    "FIELD_LAYOUT",
-    "decode_word",
-    "encode_fields",
-    "BROADCAST_MODULE",
-    "Compute",
-    "ComputeOp",
-    "Config",
-    "ConfigOp",
-    "GateTarget",
-    "Halt",
-    "LoadOperands",
-    "Move",
-    "PimInstruction",
-    "StoreResult",
-    "Sync",
-    "decode",
-    "InstructionQueue",
-    "assemble",
-    "assemble_line",
-    "disassemble",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".encoding": (
+            "Category",
+            "ClusterId",
+            "FIELD_LAYOUT",
+            "decode_word",
+            "encode_fields",
+        ),
+        ".instructions": (
+            "BROADCAST_MODULE",
+            "Compute",
+            "ComputeOp",
+            "Config",
+            "ConfigOp",
+            "GateTarget",
+            "Halt",
+            "LoadOperands",
+            "Move",
+            "PimInstruction",
+            "StoreResult",
+            "Sync",
+            "decode",
+        ),
+        ".queue": ("InstructionQueue",),
+        ".assembler": ("assemble", "assemble_line", "disassemble"),
+    },
+)

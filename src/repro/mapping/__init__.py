@@ -7,16 +7,16 @@ execute them through the real dual-controller fabric.  Integration tests
 cross-check the executed timing against the analytic cost model.
 """
 
-from .compiler import (
-    CompiledInference,
-    CompiledTransition,
-    InferenceCompiler,
-    ModuleWork,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CompiledInference",
-    "CompiledTransition",
-    "InferenceCompiler",
-    "ModuleWork",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".compiler": (
+            "CompiledInference",
+            "CompiledTransition",
+            "InferenceCompiler",
+            "ModuleWork",
+        ),
+    },
+)

@@ -15,32 +15,22 @@ numbers from NVSim at a 45 nm node, evaluating SRAM and STT-MRAM macros at
   PIM module.
 """
 
-from .technology import (
-    MemoryTechnology,
-    PeTechnology,
-    SRAM_45NM,
-    STT_MRAM_45NM,
-    PE_45NM,
-    HP_VDD,
-    LP_VDD,
-)
-from .nvsim import AccessTiming, AccessPower, NvSimModel, estimate
-from .bank import BankStats, MemoryBank
-from .hybrid import HybridMemory
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MemoryTechnology",
-    "PeTechnology",
-    "SRAM_45NM",
-    "STT_MRAM_45NM",
-    "PE_45NM",
-    "HP_VDD",
-    "LP_VDD",
-    "AccessTiming",
-    "AccessPower",
-    "NvSimModel",
-    "estimate",
-    "BankStats",
-    "MemoryBank",
-    "HybridMemory",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".technology": (
+            "MemoryTechnology",
+            "PeTechnology",
+            "SRAM_45NM",
+            "STT_MRAM_45NM",
+            "PE_45NM",
+            "HP_VDD",
+            "LP_VDD",
+        ),
+        ".nvsim": ("AccessTiming", "AccessPower", "NvSimModel", "estimate"),
+        ".bank": ("BankStats", "MemoryBank"),
+        ".hybrid": ("HybridMemory",),
+    },
+)

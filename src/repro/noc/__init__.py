@@ -7,14 +7,12 @@ with per-beat bandwidth and fixed channel latency, and a routed mesh-like
 NoC graph whose hop latency composes with the AXI endpoints.
 """
 
-from .axi import AxiBus, AxiTransaction, BurstType
-from .unoc import MicroNoc, NocLink, NocNode
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AxiBus",
-    "AxiTransaction",
-    "BurstType",
-    "MicroNoc",
-    "NocLink",
-    "NocNode",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".axi": ("AxiBus", "AxiTransaction", "BurstType"),
+        ".unoc": ("MicroNoc", "NocLink", "NocNode"),
+    },
+)

@@ -19,27 +19,20 @@ runtime / QoS, daemon-vs-in-process, resumed-vs-uninterrupted) stays
 bit-identical with tracing enabled.
 """
 
-from .events import EventLog, emit, install, uninstall
-from .tracing import (
-    Span,
-    Trace,
-    Tracer,
-    activate,
-    active_tracer,
-    deactivate,
-    span,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EventLog",
-    "Span",
-    "Trace",
-    "Tracer",
-    "activate",
-    "active_tracer",
-    "deactivate",
-    "emit",
-    "install",
-    "span",
-    "uninstall",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".events": ("EventLog", "emit", "install", "uninstall"),
+        ".tracing": (
+            "Span",
+            "Trace",
+            "Tracer",
+            "activate",
+            "active_tracer",
+            "deactivate",
+            "span",
+        ),
+    },
+)

@@ -1,14 +1,17 @@
 """Processing elements: the INT8 MAC datapath inside every PIM module."""
 
-from .mac import MacUnit, int8_mac, requantize, saturate_int8, saturate_int32
-from .pe import PeStats, ProcessingElement
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MacUnit",
-    "int8_mac",
-    "requantize",
-    "saturate_int8",
-    "saturate_int32",
-    "PeStats",
-    "ProcessingElement",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".mac": (
+            "MacUnit",
+            "int8_mac",
+            "requantize",
+            "saturate_int8",
+            "saturate_int32",
+        ),
+        ".pe": ("PeStats", "ProcessingElement"),
+    },
+)

@@ -12,32 +12,25 @@ headline metrics against the committed baselines so CI also catches
 *relative* drift, not just absolute-floor violations.
 """
 
-from .bench import (
-    BENCH_PREFIX,
-    SECTIONS,
-    check_gates,
-    default_bench_settings,
-    render_report,
-    run_bench,
-    write_reports,
-)
-from .trend import (
-    DEFAULT_TOLERANCE,
-    TrendDelta,
-    compare_reports,
-    render_markdown,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BENCH_PREFIX",
-    "SECTIONS",
-    "check_gates",
-    "default_bench_settings",
-    "render_report",
-    "run_bench",
-    "write_reports",
-    "DEFAULT_TOLERANCE",
-    "TrendDelta",
-    "compare_reports",
-    "render_markdown",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".bench": (
+            "BENCH_PREFIX",
+            "SECTIONS",
+            "check_gates",
+            "default_bench_settings",
+            "render_report",
+            "run_bench",
+            "write_reports",
+        ),
+        ".trend": (
+            "DEFAULT_TOLERANCE",
+            "TrendDelta",
+            "compare_reports",
+            "render_markdown",
+        ),
+    },
+)

@@ -6,7 +6,12 @@ into a *cluster* — HH-PIM has one High-Performance cluster at 1.2 V and one
 Low-Power cluster at 0.8 V, four modules each (Table I).
 """
 
-from .module import ModuleKind, PIMModule
-from .cluster import PIMCluster
+from .._lazy import lazy_exports
 
-__all__ = ["ModuleKind", "PIMModule", "PIMCluster"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".module": ("ModuleKind", "PIMModule"),
+        ".cluster": ("PIMCluster",),
+    },
+)

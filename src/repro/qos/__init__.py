@@ -25,64 +25,46 @@ with ``REPRO_SCALAR_QOS=1`` or :func:`scalar_qos` — mirroring
 bit-identical results; the differential suite pins it.
 """
 
-from .autoscale import (
-    Autoscaler,
-    BUILTIN_AUTOSCALERS,
-    Fixed,
-    QueueDepthTarget,
-    ScaleObservation,
-    Threshold,
-    make_autoscaler,
-)
-from .queueing import (
-    BUILTIN_DISCIPLINES,
-    EarliestDeadline,
-    Fifo,
-    Priority,
-    QoSSimulator,
-    QueueDiscipline,
-    make_discipline,
-    scalar_qos,
-    use_scalar_qos,
-)
-from .requests import (
-    DEFAULT_CLASSES,
-    INTERACTIVE_MIX,
-    Request,
-    RequestBatch,
-    RequestClass,
-    sample_request_batch,
-    sample_requests,
-)
-from .slo import PERCENTILES, QoSResult, QoSSliceStats, SloAccountant, percentile
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Autoscaler",
-    "BUILTIN_AUTOSCALERS",
-    "Fixed",
-    "QueueDepthTarget",
-    "ScaleObservation",
-    "Threshold",
-    "make_autoscaler",
-    "BUILTIN_DISCIPLINES",
-    "EarliestDeadline",
-    "Fifo",
-    "Priority",
-    "QoSSimulator",
-    "QueueDiscipline",
-    "make_discipline",
-    "scalar_qos",
-    "use_scalar_qos",
-    "DEFAULT_CLASSES",
-    "INTERACTIVE_MIX",
-    "Request",
-    "RequestBatch",
-    "RequestClass",
-    "sample_request_batch",
-    "sample_requests",
-    "PERCENTILES",
-    "QoSResult",
-    "QoSSliceStats",
-    "SloAccountant",
-    "percentile",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".autoscale": (
+            "Autoscaler",
+            "BUILTIN_AUTOSCALERS",
+            "Fixed",
+            "QueueDepthTarget",
+            "ScaleObservation",
+            "Threshold",
+            "make_autoscaler",
+        ),
+        ".queueing": (
+            "BUILTIN_DISCIPLINES",
+            "EarliestDeadline",
+            "Fifo",
+            "Priority",
+            "QoSSimulator",
+            "QueueDiscipline",
+            "make_discipline",
+            "scalar_qos",
+            "use_scalar_qos",
+        ),
+        ".requests": (
+            "DEFAULT_CLASSES",
+            "INTERACTIVE_MIX",
+            "Request",
+            "RequestBatch",
+            "RequestClass",
+            "sample_request_batch",
+            "sample_requests",
+        ),
+        ".slo": (
+            "PERCENTILES",
+            "QoSResult",
+            "QoSSliceStats",
+            "SloAccountant",
+            "percentile",
+        ),
+    },
+)

@@ -47,7 +47,6 @@ from ..plugins import coerce_spec
 from ..reference import SCALAR_QOS
 from ..serving.dispatch import make_policy
 from ..serving.fleet import device_info
-from ..sim.events import EventQueue
 from .autoscale import ScaleObservation, make_autoscaler
 from .requests import (
     DEFAULT_CLASSES,
@@ -406,6 +405,8 @@ class QoSSimulator:
 
     def run_scalar(self, scenario, requests=None, seed: int = 2025) -> QoSResult:
         """The event-driven reference engine (one event per completion)."""
+        from ..sim.events import EventQueue
+
         t_slice = self.runtime.t_slice_ns
         if requests is None:
             requests = sample_requests(

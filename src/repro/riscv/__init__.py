@@ -8,21 +8,14 @@ instruction words to a memory-mapped doorbell, and the MMIO bridge pushes
 them into the PIM Instruction Queue exactly as the AXI slave port would.
 """
 
-from .isa import Decoded, InstrFormat, decode
-from .cpu import Cpu, CpuState
-from .mmio import MmioBus, MmioRegion, PimMmioBridge, RamRegion
-from .program import Program, asm
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Decoded",
-    "InstrFormat",
-    "decode",
-    "Cpu",
-    "CpuState",
-    "MmioBus",
-    "MmioRegion",
-    "PimMmioBridge",
-    "RamRegion",
-    "Program",
-    "asm",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".isa": ("Decoded", "InstrFormat", "decode"),
+        ".cpu": ("Cpu", "CpuState"),
+        ".mmio": ("MmioBus", "MmioRegion", "PimMmioBridge", "RamRegion"),
+        ".program": ("Program", "asm"),
+    },
+)

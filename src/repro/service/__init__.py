@@ -8,19 +8,14 @@ format, :mod:`repro.service.telemetry` for the line-protocol metrics
 exporter, and ``docs/SERVING.md`` for the operator guide.
 """
 
-from .client import RemoteError, ServeClient
-from .daemon import DEFAULT_HOST, DEFAULT_PORT, Job, ServeDaemon
-from .protocol import PROTOCOL_VERSION
-from .telemetry import LineFileWriter, MetricsRegistry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "Job",
-    "LineFileWriter",
-    "MetricsRegistry",
-    "PROTOCOL_VERSION",
-    "RemoteError",
-    "ServeClient",
-    "ServeDaemon",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".client": ("RemoteError", "ServeClient"),
+        ".daemon": ("Job", "ServeDaemon"),
+        ".protocol": ("DEFAULT_HOST", "DEFAULT_PORT", "PROTOCOL_VERSION"),
+        ".telemetry": ("LineFileWriter", "MetricsRegistry"),
+    },
+)

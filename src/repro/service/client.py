@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import socket
 
-from ..api.config import ExperimentConfig
 from ..errors import ServiceError
 from . import protocol
-from .daemon import DEFAULT_HOST, DEFAULT_PORT
+from .protocol import DEFAULT_HOST, DEFAULT_PORT
 
 __all__ = ["ServeClient", "RemoteError"]
 
@@ -91,6 +90,8 @@ class ServeClient:
         attach the job's span subtree to the RESULT payload under
         ``trace`` (an empty list when the daemon is not tracing).
         """
+        from ..api.config import ExperimentConfig
+
         if isinstance(config, ExperimentConfig):
             config = config.to_dict()
         fields = {"kind": kind, "config": config, "records": records}

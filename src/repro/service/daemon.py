@@ -38,8 +38,6 @@ from __future__ import annotations
 import os
 import queue
 import signal
-import socket
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
@@ -51,15 +49,11 @@ from ..obs import events as obs_events
 from ..obs import tracing as obs_tracing
 from ..obs.tracing import span as _span
 from . import protocol
+from .protocol import DEFAULT_HOST, DEFAULT_PORT
+from .server import FrameServer
 from .telemetry import LineFileWriter, MetricsRegistry, format_line
 
 __all__ = ["Job", "ServeDaemon", "DEFAULT_HOST", "DEFAULT_PORT"]
-
-#: The daemon binds localhost only: the protocol is unauthenticated.
-DEFAULT_HOST = "127.0.0.1"
-
-#: Default TCP port of ``repro serve`` (0 picks an ephemeral port).
-DEFAULT_PORT = 7787
 
 #: Job states, in lifecycle order.
 JOB_STATES = ("pending", "running", "done", "failed")
@@ -104,45 +98,6 @@ class Job:
             "error": self.error,
             "wall_s": self.wall_s,
         }
-
-
-class _Server(socketserver.ThreadingTCPServer):
-    """Per-connection handler threads over one listening socket."""
-
-    allow_reuse_address = False
-    daemon_threads = True
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    """Reads frames off one connection until the peer hangs up."""
-
-    def handle(self):  # noqa: D102 - socketserver plumbing
-        daemon = self.server.serve_daemon
-        while True:
-            try:
-                message = protocol.recv_message(self.request)
-            except protocol.ConnectionClosed:
-                return
-            except ProtocolError as error:
-                # A torn frame leaves the stream unparseable: reply
-                # typed, then drop the connection.
-                self._reply(protocol.error_reply(error.code, str(error)))
-                return
-            except OSError:
-                return
-            try:
-                reply = daemon.dispatch(message)
-            except ProtocolError as error:
-                reply = protocol.error_reply(error.code, str(error))
-            if not self._reply(reply):
-                return
-
-    def _reply(self, message: dict) -> bool:
-        try:
-            protocol.send_message(self.request, message)
-            return True
-        except OSError:
-            return False
 
 
 class ServeDaemon:
@@ -206,7 +161,7 @@ class ServeDaemon:
         self._next_id = 0
         self._draining = threading.Event()
         self._started_s: float | None = None
-        self._server: _Server | None = None
+        self._server: FrameServer | None = None
         self._threads: list = []
         self._shutdown_thread: threading.Thread | None = None
         # Counters exist from the first scrape, not the first event.
@@ -271,14 +226,13 @@ class ServeDaemon:
         if self._server is not None:
             raise ServiceError("daemon already started")
         try:
-            self._server = _Server((self.host, self.requested_port), _Handler)
+            self._server = FrameServer((self.host, self.requested_port), self)
         except OSError as error:
             raise ServiceError(
                 f"cannot listen on {self.host}:{self.requested_port}: "
                 f"{error.strerror or error} "
                 f"(is another repro serve already running?)"
             ) from error
-        self._server.serve_daemon = self
         self._write_pidfile()
         if self.trace_path is not None and obs_tracing.active_tracer() is None:
             obs_tracing.activate(proc="daemon")

@@ -47,7 +47,10 @@ rejects them with a typed ``unsupported`` error)
     "lease_s": float}`` with a lease on the chunk, ``{"type":
     "EMPTY", "done": bool, "retry_s": float}`` when nothing is
     currently claimable, or ``{"type": "EMPTY", "done": true}`` when
-    the sweep has finished and the worker should exit.  A tracing
+    the sweep has finished and the worker should exit.  An EMPTY
+    reply may be held for up to ``retry_s`` (answered early with
+    ``done: true`` when the sweep finishes meanwhile); the worker
+    re-CLAIMs ``retry_s`` after it sent the previous CLAIM.  A tracing
     coordinator sets ``"trace": true`` on CHUNK replies, asking the
     worker to record spans and ship them back.
 
@@ -86,6 +89,8 @@ import struct
 from ..errors import ProtocolError
 
 __all__ = [
+    "DEFAULT_HOST",
+    "DEFAULT_PORT",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "REQUEST_TYPES",
@@ -101,6 +106,13 @@ __all__ = [
     "error_reply",
     "validate_request",
 ]
+
+#: Daemons and coordinators bind localhost only: the protocol is
+#: unauthenticated.
+DEFAULT_HOST = "127.0.0.1"
+
+#: Default TCP port of ``repro serve`` (0 picks an ephemeral port).
+DEFAULT_PORT = 7787
 
 #: Bumped whenever a message's shape or meaning changes.
 #: v2 added the distributed-sweep verbs (CLAIM/HEARTBEAT/PROGRESS/

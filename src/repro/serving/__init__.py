@@ -7,26 +7,20 @@ deadline statistics.  See :class:`Fleet`, :class:`FleetResult` and the
 policies in :mod:`repro.serving.dispatch`.
 """
 
-from .dispatch import (
-    BUILTIN_POLICIES,
-    DeviceInfo,
-    DispatchPolicy,
-    EnergyAware,
-    LeastLoaded,
-    RoundRobin,
-    make_policy,
-)
-from .fleet import Fleet, FleetResult, device_info
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BUILTIN_POLICIES",
-    "DeviceInfo",
-    "DispatchPolicy",
-    "EnergyAware",
-    "LeastLoaded",
-    "RoundRobin",
-    "make_policy",
-    "Fleet",
-    "FleetResult",
-    "device_info",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".dispatch": (
+            "BUILTIN_POLICIES",
+            "DeviceInfo",
+            "DispatchPolicy",
+            "EnergyAware",
+            "LeastLoaded",
+            "RoundRobin",
+            "make_policy",
+        ),
+        ".fleet": ("Fleet", "FleetResult", "device_info"),
+    },
+)

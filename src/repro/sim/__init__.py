@@ -8,15 +8,13 @@ statistics access-by-access.  Integration tests cross-validate the two:
 the engine's measured dynamic energy must match the analytic model.
 """
 
-from .events import Event, EventQueue
-from .engine import CycleEngine, TaskExecution
-from .trace import TraceEvent, TraceRecorder
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventQueue",
-    "CycleEngine",
-    "TaskExecution",
-    "TraceEvent",
-    "TraceRecorder",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".events": ("Event", "EventQueue"),
+        ".engine": ("CycleEngine", "TaskExecution"),
+        ".trace": ("TraceEvent", "TraceRecorder"),
+    },
+)

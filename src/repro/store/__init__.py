@@ -26,34 +26,26 @@ From the shell the same store backs ``repro sweep --store DIR
 [--shard I/N] [--resume]`` and ``repro store {info,ls,clear}``.
 """
 
-from .sharding import (
-    parse_shard,
-    partition,
-    partition_chunks,
-    select_shard,
-    shard_index,
-)
-from .store import (
-    KINDS,
-    STORE_VERSION,
-    Store,
-    StoreStats,
-    default_store_dir,
-    record_kind,
-    temporary_store_dir,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KINDS",
-    "STORE_VERSION",
-    "Store",
-    "StoreStats",
-    "default_store_dir",
-    "record_kind",
-    "temporary_store_dir",
-    "parse_shard",
-    "partition",
-    "partition_chunks",
-    "select_shard",
-    "shard_index",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".sharding": (
+            "parse_shard",
+            "partition",
+            "partition_chunks",
+            "select_shard",
+            "shard_index",
+        ),
+        ".store": (
+            "KINDS",
+            "STORE_VERSION",
+            "Store",
+            "StoreStats",
+            "default_store_dir",
+            "record_kind",
+            "temporary_store_dir",
+        ),
+    },
+)

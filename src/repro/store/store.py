@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import uuid
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -154,6 +153,8 @@ class Store:
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside (never deleting evidence)."""
+        import uuid  # loads platform: only writes need it
+
         target = self._quarantine_dir() / f"{path.name}.{uuid.uuid4().hex}"
         try:
             target.parent.mkdir(parents=True, exist_ok=True)
@@ -224,6 +225,8 @@ class Store:
         return ok
 
     def _write_entry(self, key: str, payload: dict) -> bool:
+        import uuid
+
         path = self._entry_path(key)
         temp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
         try:

@@ -1,20 +1,25 @@
 """The distributed sweep executor: leases, coordinator, protocol v2.
 
-Everything here is in-process and sleep-free: lease expiry runs on an
-injectable manual clock, and the coordinator is driven through
-``dispatch()`` directly — the wire plumbing it shares with the serve
-daemon is pinned by ``test_service.py``, and the full multi-process
-path (worker subprocesses, SIGKILL, byte-identical exports) lives in
+Everything here is in-process: lease expiry runs on an injectable
+manual clock, and the coordinator is driven through ``dispatch()``
+directly (from a second thread where a CLAIM is held open) — the wire
+plumbing it shares with the serve daemon is pinned by
+``test_service.py``, and the full multi-process path (worker
+subprocesses, SIGKILL, byte-identical exports) lives in
 ``test_dist_integration.py``.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import pytest
 
 from _shared import SMALL_BLOCKS, SMALL_STEPS
 from repro.api import ExperimentConfig
 from repro.dist import LeaseManager, SweepCoordinator
+from repro.dist import coordinator as coordinator_module
 from repro.errors import ProtocolError
 from repro.service import protocol
 from repro.store import Store
@@ -319,6 +324,36 @@ class TestCoordinator:
         assert metrics["repro_dist_worker,worker=alice"][
             "configs_completed"
         ] == 2
+
+    def test_idle_claim_is_held_until_the_sweep_ends(
+        self, coordinator, monkeypatch
+    ):
+        # A hold far longer than the test: the idle CLAIM can only
+        # return early because the sweep finished.
+        monkeypatch.setattr(coordinator_module, "RETRY_S", 30.0)
+        total = coordinator.status()["chunks"]["total"]
+        chunks = [self.claim(coordinator, "alice")["chunk"] for _ in range(total)]
+        for chunk in chunks[:-1]:
+            coordinator.dispatch(
+                protocol.request("COMPLETE", worker="alice", chunk=chunk)
+            )
+        replies = []
+        idle = threading.Thread(
+            target=lambda: replies.append(self.claim(coordinator, "bob"))
+        )
+        idle.start()
+        time.sleep(0.05)
+        coordinator.dispatch(
+            protocol.request("COMPLETE", worker="alice", chunk=chunks[-1])
+        )
+        idle.join(timeout=10)
+        assert not idle.is_alive()
+        assert replies == [{
+            "v": protocol.PROTOCOL_VERSION,
+            "type": "EMPTY",
+            "done": True,
+            "retry_s": 30.0,
+        }]
 
     def test_empty_grid_is_born_done(self, tmp_path):
         coordinator = SweepCoordinator(
