@@ -1,7 +1,8 @@
 """Work-stealing distributed sweep execution on top of the store.
 
-A sweep grid becomes a set of hash-stable config **chunks**
-(:func:`repro.store.sharding.partition_chunks`); one
+A sweep grid becomes a set of config **chunks** that keep each
+runtime-key group together (:func:`repro.store.sharding.runtime_chunks`),
+so each LUT is built by one worker; one
 :class:`~repro.dist.coordinator.SweepCoordinator` hands chunks to any
 number of worker processes over the v2 wire protocol
 (:mod:`repro.service.protocol`: CLAIM/HEARTBEAT/PROGRESS/COMPLETE) and

@@ -1,11 +1,12 @@
 """The sweep coordinator: chunks, leases and work-stealing over TCP.
 
-One coordinator owns one sweep: the grid is partitioned once into
-hash-stable chunks (:func:`repro.store.sharding.partition_chunks`) and
-served to workers over the v2 wire protocol.  A CLAIM hands out the
-largest available chunk — preferring never-granted chunks, then
-*stealing* chunks whose lease expired (a dead or wedged worker) — with
-a :class:`~repro.dist.leases.LeaseManager` grant whose files live
+One coordinator owns one sweep: the grid is split once into chunks
+that keep each runtime-key group together
+(:func:`repro.store.sharding.runtime_chunks`) and served to workers
+over the v2 wire protocol.  A CLAIM hands out the largest available
+chunk — preferring never-granted chunks, then *stealing* chunks whose
+lease expired (a dead or wedged worker) — with a
+:class:`~repro.dist.leases.LeaseManager` grant whose files live
 beside the store, so grants survive a coordinator restart.  HEARTBEAT
 and PROGRESS renew the lease; COMPLETE retires the chunk and releases
 it.  When every chunk is complete the done event fires, further CLAIMs
@@ -36,7 +37,7 @@ from ..service import protocol
 from ..service.protocol import DEFAULT_HOST
 from ..service.server import FrameServer
 from ..service.telemetry import MetricsRegistry
-from ..store.sharding import partition_chunks
+from ..store.sharding import runtime_chunks
 from .leases import LeaseManager
 
 __all__ = ["SweepCoordinator", "DEFAULT_CHUNK_SIZE", "DEFAULT_LEASE_S"]
@@ -123,9 +124,7 @@ class SweepCoordinator:
         self.events = obs_events.EventLog("repro-sweep-coordinator", sink=log)
         self._chunks = [
             _Chunk(index=i, configs=chunk)
-            for i, chunk in enumerate(
-                partition_chunks(self.configs, chunk_size)
-            )
+            for i, chunk in enumerate(runtime_chunks(self.configs, chunk_size))
         ]
         self.leases = LeaseManager(
             self.store.root / "leases", ttl_s=lease_s, clock=clock
@@ -136,7 +135,6 @@ class SweepCoordinator:
         if not self._chunks:
             self._done.set()
         self._server: FrameServer | None = None
-        self._started_s: float | None = None
         self.metrics = MetricsRegistry()
         sweep = "repro_dist_sweep"
         self._m_total = self.metrics.gauge(sweep, "chunks_total")
@@ -166,13 +164,7 @@ class SweepCoordinator:
                 f"cannot listen on {self.host}:{self.requested_port}: "
                 f"{error.strerror or error}"
             ) from error
-        self._started_s = time.monotonic()
-        acceptor = threading.Thread(
-            target=self._server.serve_forever,
-            name="sweep-coordinator",
-            daemon=True,
-        )
-        acceptor.start()
+        self._server.start("sweep-coordinator")
         obs_events.install(self.events)
         self.events.emit(
             "listening", host=self.host, port=self.port, pid=os.getpid(),
@@ -185,8 +177,7 @@ class SweepCoordinator:
         server, self._server = self._server, None
         if server is None:
             return
-        server.shutdown()
-        server.server_close()
+        server.stop()
         self.events.emit(
             "stopped", done=self._done.is_set(),
             chunks_completed=self._m_completed.value,
@@ -322,7 +313,7 @@ class SweepCoordinator:
         """The best claimable chunk: fresh first, then expired grants.
 
         Fresh chunks go out largest-first (the classic LPT greedy):
-        hash partitioning leaves chunk sizes uneven, and handing the
+        packing runtime groups leaves chunk sizes uneven, and handing the
         big ones out early means the sweep's tail — the last chunks
         finishing while other workers idle — is bounded by the
         *smallest* chunks rather than the largest.  Ties break on

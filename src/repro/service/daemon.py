@@ -162,7 +162,8 @@ class ServeDaemon:
         self._draining = threading.Event()
         self._started_s: float | None = None
         self._server: FrameServer | None = None
-        self._threads: list = []
+        #: Set once :meth:`stop` has finished; :meth:`run` blocks on it.
+        self._stopped = threading.Event()
         self._shutdown_thread: threading.Thread | None = None
         # Counters exist from the first scrape, not the first event.
         jobs = "repro_serve_jobs"
@@ -239,19 +240,12 @@ class ServeDaemon:
             self._own_tracer = True
         obs_events.install(self.events)
         self._started_s = time.monotonic()
+        self._stopped.clear()
         for index in range(self.workers):
-            thread = threading.Thread(
+            threading.Thread(
                 target=self._worker, name=f"serve-worker-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-        acceptor = threading.Thread(
-            target=self._server.serve_forever,
-            name="serve-acceptor",
-            daemon=True,
-        )
-        acceptor.start()
-        self._threads.append(acceptor)
+            ).start()
+        self._server.start("serve-acceptor")
         self.events.emit(
             "listening", host=self.host, port=self.port, pid=os.getpid(),
             workers=self.workers,
@@ -279,16 +273,12 @@ class ServeDaemon:
             for signum in (signal.SIGTERM, signal.SIGINT)
         }
         try:
-            while self._server is not None:
-                time.sleep(0.1)
+            # Set at the end of stop(), after the pidfile is removed, so
+            # the process never exits with the pidfile still on disk.
+            self._stopped.wait()
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
-            # stop() clears _server first and removes the pidfile last;
-            # wait for the whole sequence so the process never exits
-            # with the pidfile still on disk.
-            if self._shutdown_thread is not None:
-                self._shutdown_thread.join(timeout=30)
         return self.status()
 
     def drain(self) -> int:
@@ -324,25 +314,27 @@ class ServeDaemon:
         server, self._server = self._server, None
         if server is None:
             return
-        server.shutdown()
-        server.server_close()
-        if self._metrics_writer is not None:
-            self._metrics_writer.close()
-        self._remove_pidfile()
-        tracer = obs_tracing.active_tracer()
-        if self.trace_path is not None and tracer is not None:
-            tracer.trace().write(self.trace_path)
-        if self._own_tracer:
-            obs_tracing.deactivate()
-            self._own_tracer = False
-        self.events.emit(
-            "stopped", pid=os.getpid(),
-            jobs_completed=self._completed.value,
-            jobs_failed=self._failed.value,
-            uptime_s=self.uptime_s,
-        )
-        obs_events.uninstall(self.events)
-        self.events.close()
+        try:
+            server.stop()
+            if self._metrics_writer is not None:
+                self._metrics_writer.close()
+            self._remove_pidfile()
+            tracer = obs_tracing.active_tracer()
+            if self.trace_path is not None and tracer is not None:
+                tracer.trace().write(self.trace_path)
+            if self._own_tracer:
+                obs_tracing.deactivate()
+                self._own_tracer = False
+            self.events.emit(
+                "stopped", pid=os.getpid(),
+                jobs_completed=self._completed.value,
+                jobs_failed=self._failed.value,
+                uptime_s=self.uptime_s,
+            )
+            obs_events.uninstall(self.events)
+            self.events.close()
+        finally:
+            self._stopped.set()
 
     # -- job execution -----------------------------------------------------------
 

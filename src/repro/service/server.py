@@ -7,11 +7,18 @@ answers each with ``dispatcher.dispatch(message)``: a
 :class:`~repro.errors.ProtocolError` from the dispatcher becomes a
 typed ERROR reply, and a torn frame gets one before the connection is
 dropped (the stream is unparseable past it).
+
+The server owns its acceptor thread: :meth:`FrameServer.start` starts
+it and :meth:`FrameServer.stop` wakes it through a socket pair, so a
+stop returns at once instead of waiting out a ``serve_forever`` poll.
 """
 
 from __future__ import annotations
 
+import selectors
+import socket
 import socketserver
+import threading
 
 from ..errors import ProtocolError
 from . import protocol
@@ -65,3 +72,33 @@ class FrameServer(socketserver.ThreadingTCPServer):
         """Bind ``address`` and answer its connections with ``dispatcher``."""
         self.dispatcher = dispatcher
         super().__init__(address, _FrameHandler)
+        self._wake_recv, self._wake_send = socket.socketpair()
+        self._acceptor: threading.Thread | None = None
+
+    def start(self, name: str) -> None:
+        """Accept connections on a daemon thread called ``name``."""
+        self._acceptor = threading.Thread(
+            target=self._accept, name=name, daemon=True
+        )
+        self._acceptor.start()
+
+    def _accept(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_recv, selectors.EVENT_READ)
+            while True:
+                ready = {key.fileobj for key, _ in selector.select()}
+                if self._wake_recv in ready:
+                    return
+                # What serve_forever runs when the listening socket is
+                # readable: accept and hand off to a handler thread.
+                self._handle_request_noblock()
+
+    def stop(self) -> None:
+        """Stop accepting and close the listening socket, at once."""
+        self._wake_send.send(b"\0")
+        if self._acceptor is not None:
+            self._acceptor.join()
+        self.server_close()
+        self._wake_recv.close()
+        self._wake_send.close()

@@ -7,7 +7,8 @@ Two pieces:
   writes, version orphaning and corruption quarantine;
 * :mod:`repro.store.sharding` — deterministic config-hash partitioning
   of sweep grids, so N coordinator-free processes fill one store and a
-  resumed pass stitches the full result set with zero recomputation.
+  resumed pass stitches the full result set with zero recomputation,
+  plus the runtime-key chunks a distributed sweep hands its workers.
 
 Quickstart::
 
@@ -34,7 +35,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ".sharding": (
             "parse_shard",
             "partition",
-            "partition_chunks",
+            "runtime_chunks",
             "select_shard",
             "shard_index",
         ),

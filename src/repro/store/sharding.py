@@ -13,11 +13,15 @@ Hash partitioning (rather than round-robin over the grid order) keeps
 the assignment stable under grid *edits*: appending an axis value
 reshuffles nothing that already ran — untouched configs keep their
 shard, and their stored results keep being hits.
+
+A distributed sweep's chunks (:func:`runtime_chunks`) group the grid by
+runtime key instead, so each LUT is built by one worker.
 """
 
 from __future__ import annotations
 
 from ..api.config import ExperimentConfig
+from ..core.lutcache import fingerprint
 from ..errors import ConfigurationError
 
 
@@ -78,26 +82,52 @@ def partition(configs, count: int) -> list:
     return [tuple(shard) for shard in shards]
 
 
-def partition_chunks(configs, chunk_size: int) -> list:
-    """Split a grid into hash-stable chunks of roughly ``chunk_size``.
+#: The config fields that make up a run's runtime key
+#: (``repro.api.engine._ResolvedRuntime.key``): configs that agree on
+#: them share one LUT build.
+RUNTIME_KEY_FIELDS = (
+    "arch", "model", "policy", "t_slice_ns", "peak_inferences",
+    "block_count", "time_steps", "granule_bytes",
+)
 
-    The distributed executor's work unit: the grid partitions into
-    ``ceil(len(configs) / chunk_size)`` hash shards (so a config's
-    chunk depends only on its own fingerprint and the grid size, never
-    on grid order), then empty shards drop out.  Returns a list of
-    non-empty config tuples; every config appears in exactly one.
-    Hash partitioning keeps chunk membership stable when the same grid
-    is re-expanded by a resumed coordinator.
+
+def runtime_chunks(configs, chunk_size: int) -> list:
+    """Split a grid into chunks of at most ``chunk_size`` configs that
+    keep each runtime-key group together.
+
+    The distributed executor's work unit.  Configs sharing a runtime
+    key (:data:`RUNTIME_KEY_FIELDS`) share one LUT, so a whole group
+    goes to one chunk, and so to one worker, which builds that LUT once.
+    Groups are packed in order into the current chunk while they fit;
+    only a group larger than ``chunk_size`` is split, into full chunks
+    plus a remainder that packs on.  Groups go in key-hash order and
+    configs in fingerprint order, so chunk membership depends on the
+    grid's content, never its order, as a resumed coordinator's leases
+    need.  Returns a list of non-empty config tuples; every config
+    appears in exactly one.
     """
     if chunk_size <= 0:
         raise ConfigurationError(
             f"chunk size must be positive, got {chunk_size}"
         )
-    configs = tuple(configs)
-    if not configs:
-        return []
-    count = -(-len(configs) // chunk_size)
-    return [chunk for chunk in partition(configs, count) if chunk]
+    groups: dict = {}
+    for config in configs:
+        key = tuple(getattr(config, name) for name in RUNTIME_KEY_FIELDS)
+        groups.setdefault(key, []).append(config)
+    chunks, current = [], []
+    for key in sorted(groups, key=lambda key: fingerprint("runtime", *key)):
+        group = sorted(groups[key], key=ExperimentConfig.fingerprint)
+        if len(current) + len(group) > chunk_size:
+            if current:
+                chunks.append(tuple(current))
+            current = []
+            while len(group) > chunk_size:
+                chunks.append(tuple(group[:chunk_size]))
+                group = group[chunk_size:]
+        current += group
+    if current:
+        chunks.append(tuple(current))
+    return chunks
 
 
 def select_shard(configs, shard) -> tuple:

@@ -24,7 +24,7 @@ from repro.dist import CoordinatorClient, SweepCoordinator
 from repro.dist.executor import distributed_sweep, spawn_worker
 from repro.service.client import RemoteError
 from repro.store import Store
-from repro.store.sharding import partition_chunks
+from repro.store.sharding import runtime_chunks
 
 TINY = dict(block_count=SMALL_BLOCKS, time_steps=SMALL_STEPS, slices=4)
 
@@ -153,7 +153,7 @@ class TestKilledWorker:
         completed = [s for s in chunks if s.args.get("completed")]
         expected = [
             (index, len(chunk))
-            for index, chunk in enumerate(partition_chunks(grid, 2))
+            for index, chunk in enumerate(runtime_chunks(grid, 2))
         ]
         assert sorted(
             (s.args["chunk"], s.args["configs"]) for s in completed

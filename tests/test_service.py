@@ -8,8 +8,11 @@ summary line) lives in ``test_service_integration.py``.
 """
 
 import json
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -503,6 +506,60 @@ class TestDaemon:
         )
         with pytest.raises(ServiceError, match="already running"):
             rival.start()
+
+
+class TestStop:
+    """stop() wakes the acceptor instead of waiting out a poll."""
+
+    @pytest.mark.parametrize("kind", ["daemon", "coordinator"])
+    def test_stop_of_an_idle_server_returns_at_once(self, tmp_path, kind):
+        if kind == "daemon":
+            server = ServeDaemon(
+                port=0, engine=Engine(use_disk_cache=False),
+                log=lambda line: None,
+            )
+        else:
+            from repro.dist import SweepCoordinator
+
+            server = SweepCoordinator(
+                (qos_config(),), tmp_path / "store", log=lambda line: None
+            )
+        server.start()
+        port = server.port
+        try:
+            # The acceptor has just served a connection, so a polling
+            # acceptor would sit out a whole poll interval now.
+            assert ServeClient(port=port, timeout=10.0).ping()
+        finally:
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+        assert elapsed < 0.15
+        assert not ServeClient(port=port, timeout=1.0).ping()
+
+    def test_sigterm_ends_run_and_removes_the_pidfile(self, tmp_path):
+        """``repro serve`` blocks in run(); SIGTERM must still reach it."""
+        pidfile = tmp_path / "serve.pid"
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--pidfile", str(pidfile), "--store", str(tmp_path / "st"),
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            for line in process.stderr:
+                if "event=listening" in line:
+                    break
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.stderr.close()
+        assert not pidfile.exists()
 
 
 class TestDrainAndShutdown:

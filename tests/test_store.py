@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +26,13 @@ from repro.store import (
     Store,
     parse_shard,
     partition,
-    partition_chunks,
+    runtime_chunks,
     select_shard,
     shard_index,
 )
+from repro.perf.bench import default_bench_settings
 from repro.store import store as store_module
+from repro.store.sharding import RUNTIME_KEY_FIELDS
 
 TINY = dict(block_count=SMALL_BLOCKS, time_steps=SMALL_STEPS, slices=6)
 
@@ -215,27 +218,6 @@ class TestSharding:
                 next(c for c in grown if c == config), 4
             )
 
-    def test_partition_chunks_conserves_the_grid(self):
-        grid = tiny_grid()
-        chunks = partition_chunks(grid, 2)
-        assert all(chunks)  # empty shards are dropped, not served
-        flattened = [config for chunk in chunks for config in chunk]
-        assert sorted(flattened, key=lambda c: c.fingerprint()) == sorted(
-            grid, key=lambda c: c.fingerprint()
-        )
-        # chunking is deterministic: same grid, same chunks
-        assert partition_chunks(grid, 2) == chunks
-
-    def test_partition_chunks_edge_cases(self):
-        grid = tiny_grid()
-        assert partition_chunks((), 4) == []
-        assert partition_chunks(grid, len(grid) * 10) == [
-            chunk for chunk in partition(grid, 1) if chunk
-        ]
-        for bad in (0, -2):
-            with pytest.raises(ConfigurationError):
-                partition_chunks(grid, bad)
-
     def test_partition_matches_across_processes(self, tmp_path):
         """Same grid -> same shard assignment in a fresh interpreter."""
         script = tmp_path / "shards.py"
@@ -254,6 +236,95 @@ class TestSharding:
         )
         local = [shard_index(c, 3) for c in tiny_grid()]
         assert json.loads(out.stdout) == local
+
+
+
+def runtime_key(config) -> tuple:
+    return tuple(getattr(config, name) for name in RUNTIME_KEY_FIELDS)
+
+
+def chunk_of(chunks) -> dict:
+    """Each config's chunk index."""
+    return {
+        config: index
+        for index, chunk in enumerate(chunks)
+        for config in chunk
+    }
+
+
+def mixed_grid() -> tuple:
+    """Runtime groups of 3, 3, 6 and 1 configs."""
+    base = ExperimentConfig(**TINY)
+    return (
+        base.sweep(arch=["HH-PIM", "Hybrid-PIM"], seed=[1, 2, 3])
+        + base.sweep(arch=["Baseline-PIM"], seed=[1, 2, 3, 4, 5, 6])
+        + base.sweep(arch=["HH-PIM"], model=["MobileNetV2"])
+    )
+
+
+class TestRuntimeChunks:
+    def test_every_config_lands_in_exactly_one_chunk(self):
+        grid = mixed_grid()
+        for size in (1, 2, 3, 4, 7, 100):
+            chunks = runtime_chunks(grid, size)
+            flattened = [config for chunk in chunks for config in chunk]
+            assert sorted(flattened, key=ExperimentConfig.fingerprint) == (
+                sorted(grid, key=ExperimentConfig.fingerprint)
+            )
+            assert all(0 < len(chunk) <= size for chunk in chunks)
+
+    def test_small_groups_stay_whole_and_only_oversize_ones_split(self):
+        grid = mixed_grid()
+        for size in (1, 2, 3, 4, 5, 6, 7):
+            where = chunk_of(runtime_chunks(grid, size))
+            groups: dict = {}
+            for config in grid:
+                groups.setdefault(runtime_key(config), set()).add(
+                    where[config]
+                )
+            for key, indices in groups.items():
+                members = sum(1 for c in grid if runtime_key(c) == key)
+                if members <= size:
+                    assert len(indices) == 1, (size, key)
+                else:
+                    assert len(indices) == -(-members // size), (size, key)
+
+    def test_one_config_groups_pack_up_to_chunk_size(self):
+        grid = ExperimentConfig(**TINY).sweep(
+            arch=["HH-PIM", "Hybrid-PIM", "Baseline-PIM"],
+            model=["MobileNetV2", "ResNet-18"],
+        )
+        assert len({runtime_key(config) for config in grid}) == 6
+        assert [len(chunk) for chunk in runtime_chunks(grid, 4)] == [4, 2]
+        assert [len(chunk) for chunk in runtime_chunks(grid, 6)] == [6]
+
+    def test_chunks_do_not_depend_on_grid_order(self):
+        grid = mixed_grid()
+        shuffled = list(grid)
+        random.Random(7).shuffle(shuffled)
+        assert shuffled != list(grid)
+        for size in (1, 3, 4, 8):
+            assert runtime_chunks(shuffled, size) == runtime_chunks(grid, size)
+
+    def test_bench_dist_grid_still_chunks_one_config_each(self):
+        """``repro bench``'s ``dist`` grid: 24 seeds of one runtime key
+        at ``chunk_size=1``, so its speedup gate measures 24 chunks."""
+        settings = default_bench_settings(quick=True)
+        grid = ExperimentConfig(
+            slices=4, block_count=16, time_steps=1500
+        ).sweep(seed=list(range(2025, 2025 + settings["dist_configs"])))
+        chunks = runtime_chunks(grid, settings["dist_chunk"])
+        assert settings["dist_chunk"] == 1
+        assert len(chunks) == len(grid) == 24
+        assert all(len(chunk) == 1 for chunk in chunks)
+
+    def test_edge_cases(self):
+        grid = tiny_grid()
+        assert runtime_chunks((), 4) == []
+        assert len(runtime_chunks(grid, len(grid) * 10)) == 1
+        for bad in (0, -2):
+            with pytest.raises(ConfigurationError):
+                runtime_chunks(grid, bad)
 
 
 class TestResumedSweeps:
