@@ -7,29 +7,36 @@ and keeps the split minimising ``dp_hp[n/2][t][k_hp] +
 dp_lp[n/2][t][k_lp]``, producing the ``allocation_state`` rows that the
 LUT compiles (paper, Section III-B).
 
-The scan is vectorised: the whole ``(t, k_hp)`` plane is formed by adding
-the HP final table to the *column-reversed* LP final table and taking the
-argmin along ``k_hp``; path reconstruction then walks the count traces of
-every feasible budget at once.  Unlike the paper's pseudo-code we include
-the degenerate splits ``k_hp = 0`` and ``k_lp = 0`` — Fig. 6's "LP-MRAM
+The final DP rows of both clusters are step functions of ``t`` (see
+:mod:`repro.core.knapsack`), so the optimal split can only change at a
+breakpoint of one of them.  The scan therefore runs once per interval of
+the union of their breakpoints instead of once per budget: for each
+interval it adds the HP final rows to the *reversed* LP final rows and
+takes the first minimum along ``k_hp``, the same float sums and tie rule
+as a dense scan, and the per-space counts come straight from the chosen
+pieces' count paths.  Unlike the paper's pseudo-code we include the
+degenerate splits ``k_hp = 0`` and ``k_lp = 0`` — Fig. 6's "LP-MRAM
 only" region *is* the ``k_hp = 0`` split, so the pseudo-code's 1-based
 loop is read as an off-by-one simplification.
 
-A per-``t`` scalar reference (selected with ``REPRO_SCALAR_DP=1``, like
-the knapsack DP's) is kept for differential testing;
-:func:`unique_allocation_rows` is the LUT builder's fast path, which
-deduplicates identical placements *before* the expensive per-row
-evaluation instead of after.
+The per-``t`` scalar reference over the dense tables is kept as the
+oracle.  It runs on the tables the scalar DP builds (``REPRO_SCALAR_DP=1``
+or :func:`~repro.core.knapsack.scalar_dp`), which carry no frontier, so
+one switch selects the reference for both algorithms.
+:func:`unique_allocation_rows` is what the LUT builder calls: it returns
+each distinct placement's first row *before* the expensive per-row
+evaluation instead of deduplicating after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ..errors import PlacementError
-from .knapsack import ClusterDpResult, reconstruct_counts, use_scalar_dp
+from .knapsack import ClusterDpResult, reconstruct_counts
 
 
 @dataclass(frozen=True)
@@ -80,127 +87,12 @@ def set_allocation_state(
     (the grey region of Fig. 6).  ``lp`` may be ``None`` for single-cluster
     architectures (Baseline-/Hybrid-PIM), in which case all blocks go to
     the HP cluster.
+
+    This is the per-budget reference over the dense tables (expanded from
+    the frontiers when the tables carry them); the LUT builder calls
+    :func:`unique_allocation_rows`.
     """
     _validate_tables(hp, lp, total_blocks)
-    if use_scalar_dp():
-        return _set_allocation_state_scalar(hp, lp, total_blocks)
-    t_idx, k_hp, energies, counts_columns = _solve_splits(hp, lp, total_blocks)
-    rows: list = [None] * (hp.t_steps + 1)
-    for position, t in enumerate(t_idx):
-        rows[t] = _build_row(
-            position, t, k_hp, total_blocks, energies, counts_columns
-        )
-    return rows
-
-
-def unique_allocation_rows(
-    hp: ClusterDpResult,
-    lp: ClusterDpResult | None,
-    total_blocks: int,
-):
-    """The distinct placements of the allocation state, in budget order.
-
-    Consecutive budgets overwhelmingly select the same placement, so the
-    full ``t_steps + 1`` row list collapses to a handful of distinct
-    placements.  This returns only the *first* row of each distinct
-    per-space count vector — exactly the rows
-    :class:`~repro.core.lut.AllocationLUT` would keep after its own
-    dedupe — so the LUT builder evaluates dozens of rows instead of tens
-    of thousands.
-    """
-    _validate_tables(hp, lp, total_blocks)
-    t_idx, k_hp, energies, counts_columns = _solve_splits(hp, lp, total_blocks)
-    if len(t_idx) == 0:
-        return []
-    matrix = np.stack([column for _, column in counts_columns], axis=1)
-    _, first = np.unique(matrix, axis=0, return_index=True)
-    return [
-        _build_row(
-            int(position), int(t_idx[position]), k_hp, total_blocks,
-            energies, counts_columns,
-        )
-        for position in np.sort(first)
-    ]
-
-
-def _build_row(
-    position, t, k_hp, total_blocks, energies, counts_columns
-) -> CombinedRow:
-    """Materialise one feasible budget's :class:`CombinedRow`."""
-    split = int(k_hp[position])
-    return CombinedRow(
-        t_step=int(t),
-        k_hp=split,
-        k_lp=total_blocks - split,
-        energy_nj=float(energies[position]),
-        counts={
-            kind: int(column[position]) for kind, column in counts_columns
-        },
-    )
-
-
-def _solve_splits(
-    hp: ClusterDpResult,
-    lp: ClusterDpResult | None,
-    total_blocks: int,
-):
-    """Optimal split and per-space counts for every feasible budget.
-
-    Returns ``(t_idx, k_hp, energies, counts_columns)`` where ``t_idx``
-    holds the feasible budgets (ascending), ``k_hp``/``energies`` the
-    chosen split and its energy per feasible budget, and
-    ``counts_columns`` is a list of ``(SpaceKind, per-budget counts)``
-    pairs covering every space of both clusters.
-    """
-    t_count = hp.t_steps + 1
-    if lp is None:
-        energy = hp.dp[-1][:, total_blocks]
-        t_idx = np.nonzero(np.isfinite(energy))[0]
-        k_hp = np.full(len(t_idx), total_blocks, dtype=np.int64)
-        counts_columns = _reconstruct_many(hp, t_idx, k_hp)
-        return t_idx, k_hp, energy[t_idx], counts_columns
-
-    # combined[t, k_hp] = hp[t, k_hp] + lp[t, K - k_hp]
-    combined = (
-        hp.dp[-1][:, : total_blocks + 1]
-        + lp.dp[-1][:, : total_blocks + 1][:, ::-1]
-    )
-    best = np.argmin(combined, axis=1)
-    energy = combined[np.arange(t_count), best]
-    t_idx = np.nonzero(np.isfinite(energy))[0]
-    k_hp = best[t_idx].astype(np.int64)
-    counts_columns = _reconstruct_many(hp, t_idx, k_hp)
-    counts_columns += _reconstruct_many(lp, t_idx, total_blocks - k_hp)
-    return t_idx, k_hp, energy[t_idx], counts_columns
-
-
-def _reconstruct_many(table: ClusterDpResult, t_idx, k_idx):
-    """Vectorised path tracing: per-space counts for many budgets at once.
-
-    The same walk as :func:`~repro.core.knapsack.reconstruct_counts`,
-    with every budget's ``(t, k)`` cursor advanced in lockstep.
-    """
-    t = np.asarray(t_idx, dtype=np.int64).copy()
-    k = np.asarray(k_idx, dtype=np.int64).copy()
-    columns = []
-    for i in range(len(table.spaces), 0, -1):
-        taken = table.count[i][t, k].astype(np.int64)
-        columns.append((table.spaces[i - 1].kind, taken))
-        t -= taken * table.step_counts[i - 1]
-        k -= taken
-    if np.any(k != 0):
-        raise PlacementError(
-            "reconstruction lost blocks (inconsistent count trace)"
-        )
-    return columns
-
-
-def _set_allocation_state_scalar(
-    hp: ClusterDpResult,
-    lp: ClusterDpResult | None,
-    total_blocks: int,
-):
-    """Per-``t`` reference implementation of Algorithm 2."""
     rows = []
     for t in range(hp.t_steps + 1):
         if lp is None:
@@ -243,3 +135,123 @@ def _set_allocation_state_scalar(
             )
         )
     return rows
+
+
+def unique_allocation_rows(
+    hp: ClusterDpResult,
+    lp: ClusterDpResult | None,
+    total_blocks: int,
+):
+    """The distinct placements of the allocation state, in budget order.
+
+    Consecutive budgets overwhelmingly select the same placement, so the
+    full ``t_steps + 1`` row list collapses to a handful of distinct
+    placements.  This returns only the *first* row of each distinct
+    per-space count vector — exactly the rows
+    :class:`~repro.core.lut.AllocationLUT` would keep after its own
+    dedupe — so the LUT builder evaluates dozens of rows instead of tens
+    of thousands.
+    """
+    _validate_tables(hp, lp, total_blocks)
+    if hp.frontier is not None and (lp is None or lp.frontier is not None):
+        return _unique_rows_of_frontiers(hp, lp, total_blocks)
+    # The scalar DP's dense tables carry no frontier.
+    first = {}
+    for row in set_allocation_state(hp, lp, total_blocks):
+        if row is not None:
+            first.setdefault(tuple(row.counts.values()), row)
+    return list(first.values())
+
+
+def _unique_rows_of_frontiers(
+    hp: ClusterDpResult,
+    lp: ClusterDpResult | None,
+    total_blocks: int,
+):
+    """:func:`unique_allocation_rows`, one argmin per breakpoint interval.
+
+    The final rows ``dp[n][.][k]`` of both clusters are step functions, so
+    the argmin over ``k_hp`` is constant between consecutive breakpoints
+    of their union: it is evaluated once per interval, with the same
+    ``hp + lp`` float sums and the same first-minimum rule as the dense
+    scan, and each distinct placement keeps its first interval.
+    """
+    if lp is None:
+        tables = [(hp, [total_blocks])]
+    else:
+        # combined[k_hp] = hp[k_hp] + lp[K - k_hp]
+        ks = list(range(total_blocks + 1))
+        tables = [(hp, ks), (lp, ks[::-1])]
+    offset = hp.t_steps + 1
+    flat = [
+        _flatten([table.frontier[-1][k] for k in ks], offset)
+        for table, ks in tables
+    ]
+    starts = np.unique(np.concatenate([keys % offset for keys, _, _ in flat]))
+    energies = None
+    pieces = []
+    for (keys, row_energies, _), (_, ks) in zip(flat, tables):
+        # Row r's breakpoints are offset by r * (t_steps + 1), so one
+        # searchsorted finds every row's piece at every interval start.
+        queries = np.arange(len(ks))[:, None] * offset + starts
+        index = np.searchsorted(keys, queries, side="right") - 1
+        sampled = row_energies[index]
+        energies = sampled if energies is None else energies + sampled
+        pieces.append(index)
+    best = np.argmin(energies, axis=0)
+    columns = np.arange(len(starts))
+    chosen = [index[best, columns] for index in pieces]
+    # Consecutive intervals that pick the same pieces (which fix the
+    # split, the energy and the counts) form one run.
+    change = np.ones(len(starts), dtype=bool)
+    for index in chosen:
+        change[1:] |= index[1:] != index[:-1]
+    runs = np.nonzero(change)[0]
+    energy = energies[best[runs], runs]
+    feasible = np.isfinite(energy)
+    runs, energy = runs[feasible], energy[feasible]
+    # Per run, each cluster's count path in path-tracing order: each
+    # cluster's last space first, HP before LP, as the scalar rows.
+    counts = [
+        sum((path[::-1] for path in run_paths), ())
+        for run_paths in zip(
+            *(
+                [paths[i] for i in index[runs].tolist()]
+                for (_, _, paths), index in zip(flat, chosen)
+            )
+        )
+    ]
+    kinds = [
+        space.kind for table, _ in tables for space in reversed(table.spaces)
+    ]
+    hp_ks = tables[0][1]
+    first = {}
+    for start, split, value, key in zip(
+        starts[runs].tolist(), best[runs].tolist(), energy.tolist(), counts
+    ):
+        if key not in first:
+            first[key] = CombinedRow(
+                t_step=start,
+                k_hp=hp_ks[split],
+                k_lp=total_blocks - hp_ks[split],
+                energy_nj=value,
+                counts=dict(zip(kinds, key)),
+            )
+    return list(first.values())
+
+
+def _flatten(rows, offset):
+    """Concatenate frontier rows into ``(keys, energies, paths)``.
+
+    ``keys`` are the breakpoints of row ``r`` shifted by ``r * offset``
+    (``offset`` exceeds every budget), so they stay sorted across rows.
+    """
+    lengths = [len(starts) for starts, _, _ in rows]
+    keys = np.fromiter(
+        chain.from_iterable(starts for starts, _, _ in rows), np.int64
+    ) + np.repeat(np.arange(len(rows)) * offset, lengths)
+    energies = np.fromiter(
+        chain.from_iterable(energies for _, energies, _ in rows), np.float64
+    )
+    paths = list(chain.from_iterable(paths for _, _, paths in rows))
+    return keys, energies, paths

@@ -5,8 +5,8 @@ one (architecture, model, time slice) triple:
 
 1. price the storage spaces (:func:`repro.core.spaces.build_spaces`),
 2. run Algorithm 1 per cluster (:func:`repro.core.knapsack.knapsack_min_energy`),
-3. run Algorithm 2 (:func:`repro.core.combine.set_allocation_state`),
-4. evaluate every row in continuous time and compile the
+3. run Algorithm 2 (:func:`repro.core.combine.unique_allocation_rows`),
+4. evaluate each distinct placement in continuous time and compile the
    :class:`~repro.core.lut.AllocationLUT`.
 
 It also provides the comparison groups' *fixed* policies (Table I):
@@ -25,9 +25,9 @@ from ..errors import ConfigurationError, InfeasibleError, PlacementError
 from ..isa.encoding import ClusterId
 from ..pim.cluster import PIMCluster
 from ..workloads.models import ModelSpec
-from .combine import set_allocation_state, unique_allocation_rows
+from .combine import unique_allocation_rows
 from .defaults import DEFAULT_BLOCK_COUNT, DEFAULT_TIME_STEPS
-from .knapsack import knapsack_min_energy, use_scalar_dp
+from .knapsack import knapsack_min_energy
 from .lut import AllocationLUT, Placement
 from .spaces import PIM_LATENCY_SCALE, SpaceKind, StorageSpace, build_spaces
 
@@ -198,20 +198,10 @@ class DataPlacementOptimizer:
                     raise PlacementError("no usable spaces after restriction")
                 # Single-cluster LP-only restriction: 1-cluster path.
                 hp_table, lp_table = lp_table, None
-            if use_scalar_dp():
-                rows = set_allocation_state(
-                    hp_table, lp_table, self.block_count
-                )
-            else:
-                # Fast path: dedupe the distinct placements before the
-                # per-row continuous-time evaluation; the LUT keeps the
-                # same first-occurrence rows either way.
-                rows = unique_allocation_rows(
-                    hp_table, lp_table, self.block_count
-                )
-            placements.extend(
-                self._evaluate_row(row) for row in rows if row is not None
-            )
+            # Only each distinct placement's first row is evaluated in
+            # continuous time: the LUT keeps the first occurrences anyway.
+            rows = unique_allocation_rows(hp_table, lp_table, self.block_count)
+            placements.extend(self._evaluate_row(row) for row in rows)
         return AllocationLUT(
             placements, self.time_step_ns, t_max_ns=self.t_slice_ns
         )

@@ -6,11 +6,15 @@ round-trips), charges the Table III latency and Table V power for every
 access, and supports power gating.  Gating a volatile bank (SRAM) clears
 its contents; gating a non-volatile bank (STT-MRAM) retains them — this is
 the asymmetry the HH-PIM placement algorithm exploits.
+
+The contents are allocated on the first write: a bank that was never
+written (every bank of a priced-only cluster) reads as zeros and holds,
+and pickles, no buffer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import AddressError, ConfigurationError, PowerGatingError
 from .nvsim import NvSimModel, NvSimResult
@@ -77,7 +81,10 @@ class MemoryBank:
     vdd: float
     word_bytes: int = 1
 
-    _data: bytearray = field(init=False, repr=False)
+    #: Contents; ``None`` until the first write (reads as zeros).
+    _data: bytearray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _powered: bool = field(default=True, init=False)
     stats: BankStats = field(default_factory=BankStats, init=False)
     _estimate: NvSimResult = field(init=False, repr=False)
@@ -93,7 +100,6 @@ class MemoryBank:
                 f"bank {self.name}: word size {self.word_bytes} must divide "
                 f"capacity {self.capacity_bytes}"
             )
-        self._data = bytearray(self.capacity_bytes)
         self._estimate = NvSimModel(self.technology).estimate(
             self.capacity_bytes, self.vdd
         )
@@ -145,7 +151,7 @@ class MemoryBank:
     def power_off(self) -> None:
         """Gate the bank.  Volatile banks lose their contents."""
         if self._powered and self.volatile:
-            self._data = bytearray(self.capacity_bytes)
+            self._data = None
         self._powered = False
 
     def power_on(self) -> None:
@@ -189,12 +195,14 @@ class MemoryBank:
         self.stats.dynamic_energy_nj += accesses * self.read_energy_nj
         self.stats.powered_time_ns += elapsed
         self.stats.static_energy_nj += self.static_power_mw * elapsed / 1000.0
-        return bytes(self._data[address : address + length])
+        return self._bytes(address, length)
 
     def write(self, address: int, data: bytes) -> float:
         """Write ``data`` at ``address``; returns the elapsed time in ns."""
         self._check_access(address, len(data))
         accesses = max(1, -(-len(data) // self.word_bytes))
+        if self._data is None:
+            self._data = bytearray(self.capacity_bytes)
         self._data[address : address + len(data)] = data
         self.stats.writes += accesses
         self.stats.bytes_written += len(data)
@@ -235,7 +243,28 @@ class MemoryBank:
                 f"bank {self.name}: peek [{address}, {address + length}) "
                 f"outside capacity {self.capacity_bytes}"
             )
+        return self._bytes(address, length)
+
+    def _bytes(self, address: int, length: int) -> bytes:
+        if self._data is None:
+            return bytes(max(length, 0))
         return bytes(self._data[address : address + length])
+
+    def __eq__(self, other) -> bool:
+        """Field-wise equality; never-written contents equal zeros."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if not all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self)
+            if f.compare
+        ):
+            return False
+        mine, theirs = self._data, other._data
+        if mine is None or theirs is None:
+            written = theirs if mine is None else mine
+            return written is None or written.count(0) == len(written)
+        return mine == theirs
 
     def reset_stats(self) -> None:
         """Zero the accumulated statistics (contents are untouched)."""

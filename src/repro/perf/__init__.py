@@ -1,7 +1,7 @@
 """Performance harness: reproducible timings behind ``repro bench``.
 
 The harness times the paths the ROADMAP cares about — LUT construction
-(vectorized vs the scalar reference, cold vs persistent-cache warm),
+(frontier vs the scalar reference, cold vs persistent-cache warm),
 sweep throughput through the experiment engine, per-slice lookup
 latency, the slice loop, QoS, the store, the daemon, the distributed
 executor and tracing overhead — and writes machine-readable

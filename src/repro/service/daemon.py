@@ -260,19 +260,30 @@ class ServeDaemon:
         handlers are installed only here — in-process users drive
         :meth:`start`/:meth:`stop` directly.
         """
-        self.start()
+        # Installed before start(), which announces event=listening, so a
+        # signal sent on seeing that line never meets the default action;
+        # one that arrives while start() runs takes effect once it returns.
+        starting, signalled = True, False
 
         def handle(signum, _frame):
+            nonlocal signalled
             self.events.emit(
                 "signal", signal=signal.Signals(signum).name
             )
-            self.initiate_shutdown()
+            if starting:
+                signalled = True
+            else:
+                self.initiate_shutdown()
 
         previous = {
             signum: signal.signal(signum, handle)
             for signum in (signal.SIGTERM, signal.SIGINT)
         }
         try:
+            self.start()
+            starting = False
+            if signalled:
+                self.initiate_shutdown()
             # Set at the end of stop(), after the pidfile is removed, so
             # the process never exits with the pidfile still on disk.
             self._stopped.wait()

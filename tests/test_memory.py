@@ -1,6 +1,7 @@
 """Unit tests for the memory subsystem (technology, nvsim, bank, hybrid)."""
 
 import math
+import pickle
 
 import pytest
 
@@ -218,6 +219,32 @@ class TestMemoryBank:
     def test_word_must_divide_capacity(self):
         with pytest.raises(ConfigurationError):
             self.make_bank(capacity_bytes=1000, word_bytes=3)
+
+    def test_never_written_bank_reads_zeros_and_pickles_small(self):
+        bank = self.make_bank(capacity_bytes=64 * 1024)
+        assert bank.read(100, 4) == bytes(4)
+        assert bank.peek(0, 16) == bytes(16)
+        assert len(pickle.dumps(bank)) < 4096
+        bank.write(0, b"\x01")
+        assert len(pickle.dumps(bank)) > 64 * 1024
+
+    def test_volatile_gating_drops_the_buffer(self):
+        bank = self.make_bank(capacity_bytes=64 * 1024)
+        bank.write(7, b"\x99")
+        bank.power_off()
+        bank.power_on()
+        assert bank.peek(7, 1) == b"\x00"
+        assert len(pickle.dumps(bank)) < 4096
+
+    def test_equality_treats_unwritten_contents_as_zeros(self):
+        fresh, zeroed, written = (self.make_bank() for _ in range(3))
+        for bank in (zeroed, written):
+            bank.write(3, b"\x00" if bank is zeroed else b"\x05")
+            bank.reset_stats()
+        assert fresh == zeroed and zeroed == fresh
+        assert fresh != written and written != zeroed
+        assert fresh == self.make_bank()
+        assert fresh != self.make_bank(name="other")
 
     def test_stats_merge(self):
         a = self.make_bank()

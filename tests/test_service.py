@@ -561,6 +561,26 @@ class TestStop:
             process.stderr.close()
         assert not pidfile.exists()
 
+    def test_sigterm_right_after_listening_still_drains(self, tmp_path):
+        """A SIGTERM sent as the listening line appears is not fatal."""
+        pidfile = tmp_path / "serve.pid"
+        script = (
+            "import os, signal, sys\n"
+            "from repro.api import Engine\n"
+            "from repro.service import ServeDaemon\n"
+            "class Eager(ServeDaemon):\n"
+            "    def start(self):\n"
+            "        super().start()\n"
+            "        os.kill(os.getpid(), signal.SIGTERM)\n"
+            "Eager(port=0, engine=Engine(use_disk_cache=False),\n"
+            "      pidfile=sys.argv[1], log=lambda line: None).run()\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(pidfile)], timeout=30
+        )
+        assert completed.returncode == 0
+        assert not pidfile.exists()
+
 
 class TestDrainAndShutdown:
     @pytest.fixture
