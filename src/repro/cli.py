@@ -35,9 +35,10 @@ architectures, models and scenarios registered via :mod:`repro.api`
 are immediately available on the command line.  Heavy artifacts accept
 ``--blocks/--steps`` to trade fidelity for speed, and ``--workers`` to
 batch over a process pool (with ``sweep --store DIR`` it instead
-spawns that many work-stealing worker processes; 0 starts a
-coordinator alone for ``repro sweep-worker`` to attach to).  Library failures (bad configuration,
-infeasible placements) exit with code 2 and a one-line error.
+forks that many work-stealing worker processes; 0 starts a
+coordinator alone for ``repro sweep-worker`` to attach to).  Library
+failures (bad configuration, infeasible placements) exit with code 2
+and a one-line error.
 
 Each handler imports the subsystem it runs, and building the parser
 loads no numpy, so a command pays start-up only for what it uses.

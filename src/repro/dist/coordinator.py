@@ -96,7 +96,8 @@ class SweepCoordinator:
     (tests inject a manual clock); ``log`` overrides the structured
     stderr logger.  Start with :meth:`start`, wait on :meth:`wait`,
     stop with :meth:`stop` — or drive requests directly through
-    :meth:`dispatch` (the lease tests do).
+    :meth:`dispatch` (the lease tests do).  :meth:`bind` alone opens
+    the socket without a thread, for callers that fork workers first.
     """
 
     def __init__(
@@ -153,10 +154,15 @@ class SweepCoordinator:
             return self.requested_port
         return self._server.server_address[1]
 
-    def start(self) -> None:
-        """Bind the socket and start the acceptor thread."""
+    def bind(self) -> None:
+        """Bind and listen on the socket without starting any thread.
+
+        Connections queue in the listen backlog until :meth:`start`, so
+        a caller may fork worker processes in between, while this
+        process is still single-threaded.
+        """
         if self._server is not None:
-            raise ServiceError("coordinator already started")
+            raise ServiceError("coordinator already bound")
         try:
             self._server = FrameServer((self.host, self.requested_port), self)
         except OSError as error:
@@ -164,6 +170,14 @@ class SweepCoordinator:
                 f"cannot listen on {self.host}:{self.requested_port}: "
                 f"{error.strerror or error}"
             ) from error
+
+    def start(self) -> None:
+        """Bind the socket (unless :meth:`bind` did) and start the
+        acceptor thread."""
+        if self._server is None:
+            self.bind()
+        elif self._server.started:
+            raise ServiceError("coordinator already started")
         self._server.start("sweep-coordinator")
         obs_events.install(self.events)
         self.events.emit(
@@ -171,6 +185,12 @@ class SweepCoordinator:
             chunks=len(self._chunks), configs=len(self.configs),
             store=str(self.store.root),
         )
+
+    def close_inherited(self) -> None:
+        """In a process forked after :meth:`bind`, close this process's
+        copies of the coordinator's sockets; the parent keeps serving."""
+        if self._server is not None:
+            self._server.close()
 
     def stop(self) -> None:
         """Stop the acceptor and close the socket."""

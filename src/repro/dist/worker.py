@@ -1,7 +1,9 @@
 """The sweep worker: a claim loop around the engine's spill executor.
 
-``repro sweep-worker --connect HOST:PORT`` runs :func:`run_worker`:
-CLAIM a chunk, execute its configs through one warm
+``repro sweep-worker --connect HOST:PORT`` runs :func:`run_worker`,
+and so does each worker process that
+:func:`~repro.dist.executor.distributed_sweep` forks for its local
+pool: CLAIM a chunk, execute its configs through one warm
 :class:`~repro.api.engine.Engine` attached to the coordinator-named
 store (``resume=True``, ``spill=True`` — records persist and drop, so
 worker memory stays bounded however large the sweep), report PROGRESS
@@ -142,7 +144,8 @@ def _env_stall(name: str) -> float:
 
 
 def run_worker(host: str, port: int, worker: str | None = None,
-               max_workers: int | None = None, log=None) -> dict:
+               max_workers: int | None = None, log=None,
+               started_ns: int | None = None) -> dict:
     """Attach one worker to a coordinator; returns a summary dict.
 
     Loops CLAIM → execute → COMPLETE until the coordinator reports the
@@ -159,11 +162,17 @@ def run_worker(host: str, port: int, worker: str | None = None,
     ``worker:<id>``), wraps each claim exchange and chunk execution in
     spans — the engine's own spans nest under the chunk span — and
     drains the buffer into the ``trace`` field of every subsequent
-    request, so the coordinator assembles one sweep-wide trace.
+    request, so the coordinator assembles one sweep-wide trace.  Its
+    first span, ``worker.attach``, runs from ``started_ns`` (a
+    :func:`time.perf_counter_ns` reading: the fork, for a worker the
+    executor forked; this call, by default) to the first CLAIM reply,
+    which is the worker's start-up as the sweep sees it.
     """
     from ..api.config import ExperimentConfig
     from ..api.engine import Engine
 
+    if started_ns is None:
+        started_ns = time.perf_counter_ns()
     if worker is None:
         worker = f"w-{socket.gethostname()}-{os.getpid()}"
     client = CoordinatorClient(host, port, worker)
@@ -185,6 +194,8 @@ def run_worker(host: str, port: int, worker: str | None = None,
     configs_done = 0
     abandoned = 0
     attached = False
+    # The (start, end) of worker.attach until a tracer can record it.
+    attach = None
     events.emit("started", worker=worker, coordinator=f"{host}:{port}")
     try:
         while True:
@@ -199,6 +210,8 @@ def run_worker(host: str, port: int, worker: str | None = None,
                     break
                 raise
             claim_end = time.perf_counter_ns()
+            if not attached:
+                attach = (started_ns, claim_end)
             attached = True
             granted = reply["type"] == "CHUNK"
             if granted and reply.get("trace") and tracer is None:
@@ -207,6 +220,9 @@ def run_worker(host: str, port: int, worker: str | None = None,
                     tracer = obs_tracing.activate(proc=f"worker:{worker}")
                     own_tracer = True
             if tracer is not None:
+                if attach is not None:
+                    tracer.record("worker.attach", *attach)
+                    attach = None
                 extra = {"chunk": reply["chunk"]} if granted else {}
                 tracer.record(
                     "worker.claim", claim_start, claim_end,

@@ -362,12 +362,14 @@ def bench_qos(settings: dict, model_name: str) -> dict:
 
 
 def bench_store(settings: dict, model_name: str) -> dict:
-    """Cold compute-and-persist sweep vs warm resume from the store.
+    """Compute-and-persist sweep vs warm resume from the store.
 
     Both passes run the same grid as :func:`bench_sweep` against a
-    throwaway store *and* a throwaway LUT cache, so the cold number is a
-    true first-contact sweep and the warm number is a pure store resume
-    (a fresh engine, zero scenario runs, zero DP builds).
+    throwaway store and a throwaway LUT cache.  An untimed sweep with no
+    store fills that LUT cache first, so the cold pass loads every LUT
+    from disk and its time is the runs plus the store writes, not the
+    DP build; the warm number is a pure store resume (a fresh engine,
+    zero scenario runs, zero DP builds).
     """
     from ..store import Store
 
@@ -380,6 +382,7 @@ def bench_store(settings: dict, model_name: str) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
         with lutcache.temporary_cache_dir(Path(tmp) / "lut"):
+            Engine().run_many(grid)
             store = Store(Path(tmp) / "store")
             cold_engine = Engine(store=store)
             cold_s = _best_of(lambda: cold_engine.run_many(grid), 1)
@@ -395,6 +398,7 @@ def bench_store(settings: dict, model_name: str) -> dict:
         "cold_s": cold_s,
         "cold_runs_per_s": len(grid) / cold_s,
         "cold_store_misses": cold_engine.stats.store_misses,
+        "cold_dp_builds": cold_engine.stats.dp_builds,
         "warm_s": warm_s,
         "warm_runs_per_s": len(grid) / warm_s,
         "warm_store_hits": warm_engine.stats.store_hits,
@@ -721,8 +725,9 @@ SECTIONS: tuple[BenchSection, ...] = (
     ),
     BenchSection(
         "serve", bench_serve, "speedup",
-        (Gate("speedup", "min", 2.0, "a warm daemon is ~5x faster than cold "
-              "engines; below 2x it rebuilds state it should keep"),),
+        (Gate("warm_dp_builds", "max", 0, "a warm daemon keeps its LUT "
+              "state, so the timed jobs, which repeat the warm-up's "
+              "runtime key, build no DP table"),),
         ("jobs", "cold_s", "warm_s", "warm_dp_builds", "speedup"),
     ),
     BenchSection(

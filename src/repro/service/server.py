@@ -67,6 +67,9 @@ class FrameServer(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = False
     daemon_threads = True
+    #: Connections may arrive before :meth:`start` (the sweep executor
+    #: forks its workers in between), so queue more than the default 5.
+    request_queue_size = 64
 
     def __init__(self, address: tuple, dispatcher) -> None:
         """Bind ``address`` and answer its connections with ``dispatcher``."""
@@ -74,6 +77,11 @@ class FrameServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _FrameHandler)
         self._wake_recv, self._wake_send = socket.socketpair()
         self._acceptor: threading.Thread | None = None
+
+    @property
+    def started(self) -> bool:
+        """Whether :meth:`start` has started the acceptor thread."""
+        return self._acceptor is not None
 
     def start(self, name: str) -> None:
         """Accept connections on a daemon thread called ``name``."""
@@ -99,6 +107,11 @@ class FrameServer(socketserver.ThreadingTCPServer):
         self._wake_send.send(b"\0")
         if self._acceptor is not None:
             self._acceptor.join()
+        self.close()
+
+    def close(self) -> None:
+        """Close the listening socket and the wake-up pair (no thread
+        is stopped: :meth:`stop` does that first)."""
         self.server_close()
         self._wake_recv.close()
         self._wake_send.close()

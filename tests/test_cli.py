@@ -268,7 +268,7 @@ class TestErrorExit:
             "qos.requests_per_s": ("min", 200.0),
             "qos.speedup": ("min", 5.0),
             "store.resume_speedup": ("min", 2.0),
-            "serve.speedup": ("min", 2.0),
+            "serve.warm_dp_builds": ("max", 0),
             "dist.speedup": ("min", 2.5),
             "obs.disabled_overhead": ("max", 0.05),
         }

@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -20,8 +24,10 @@ import pytest
 from _shared import SMALL_BLOCKS, SMALL_STEPS
 from repro.api import Engine, ExperimentConfig
 from repro.cli import main
-from repro.dist import CoordinatorClient, SweepCoordinator
-from repro.dist.executor import distributed_sweep, spawn_worker
+from repro.dist import CoordinatorClient, SweepCoordinator, run_worker
+from repro.dist import executor
+from repro.dist.executor import distributed_sweep, fork_worker
+from repro.errors import ServiceError
 from repro.service.client import RemoteError
 from repro.store import Store
 from repro.store.sharding import runtime_chunks
@@ -57,13 +63,13 @@ class TestKilledWorker:
         coordinator = SweepCoordinator(
             grid, store, chunk_size=2, lease_s=4.0, log=lambda line: None
         )
+        # Fork the victim while the coordinator runs no thread yet.
+        coordinator.bind()
+        victim = fork_worker(
+            coordinator, "victim", env={"REPRO_DIST_TEST_STALL_S": "300"}
+        )
         coordinator.start()
-        victim = rescuer = None
         try:
-            victim = spawn_worker(
-                coordinator.host, coordinator.port, "victim",
-                env={"REPRO_DIST_TEST_STALL_S": "300"},
-            )
             # The victim claims a chunk, computes its first sub-batch
             # into the store, then parks without renewing.  Wait for
             # evidence of real mid-chunk work, then SIGKILL it.
@@ -77,20 +83,18 @@ class TestKilledWorker:
             victim.kill()
             victim.wait(timeout=30)
 
-            rescuer = spawn_worker(
-                coordinator.host, coordinator.port, "rescuer"
-            )
+            # The rescuer works in this process: it steals the victim's
+            # chunk once the lease expires and returns when all are done.
+            run_worker(coordinator.host, coordinator.port, "rescuer",
+                       log=lambda line: None)
             assert coordinator.wait(timeout=180), (
                 f"sweep did not complete: {coordinator.status()}"
             )
             status = coordinator.status()
         finally:
-            for process in (victim, rescuer):
-                if process is not None:
-                    if process.poll() is None:
-                        process.kill()
-                    process.wait(timeout=30)
-                    process.stderr.close()
+            victim.kill()
+            victim.wait(timeout=30)
+            victim.stderr.close()
             coordinator.stop()
 
         assert status["chunks"]["stolen"] >= 1
@@ -173,6 +177,152 @@ class TestKilledWorker:
             e for e in payload["traceEvents"] if e.get("ph") == "M"
         ]
         assert {m["args"]["name"] for m in metas} == procs
+
+
+class TestForkedPool:
+    """The local pool is forked from the coordinator process: no new
+    interpreter, no thread at the fork, and every child reaped."""
+
+    def test_forks_while_single_threaded(
+        self, tmp_path, lut_cache, monkeypatch
+    ):
+        threads_before = threading.active_count()
+        counts = []
+        real_fork = os.fork
+
+        def counting_fork():
+            counts.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        grid = tiny_grid(2)
+        results = distributed_sweep(
+            grid, tmp_path / "store", workers=2, chunk_size=1,
+            log=lambda line: None, timeout=300,
+        )
+        assert len(results) == len(grid)
+        assert counts == [threads_before] * 2
+
+    def test_starts_no_interpreter(self, tmp_path, lut_cache, monkeypatch):
+        def no_popen(*args, **kwargs):
+            raise AssertionError(f"started a process: {args}")
+
+        monkeypatch.setattr(subprocess, "Popen", no_popen)
+        grid = tiny_grid(2)
+        reference = Engine().run_many(grid).to_json()
+        results = distributed_sweep(
+            grid, tmp_path / "store", workers=2, chunk_size=1,
+            log=lambda line: None, timeout=300,
+        )
+        assert results.to_json() == reference
+
+    @staticmethod
+    def _record_children(monkeypatch) -> list:
+        """Keep every handle the executor's pool forks."""
+        children = []
+        real = executor.fork_worker
+
+        def recording(*args, **kwargs):
+            children.append(real(*args, **kwargs))
+            return children[-1]
+
+        monkeypatch.setattr(executor, "fork_worker", recording)
+        return children
+
+    @staticmethod
+    def _assert_reaped(children, workers: int) -> None:
+        assert len(children) == workers
+        for child in children:
+            assert child.returncode is not None
+            assert child.stderr.closed
+            with pytest.raises(ChildProcessError):
+                os.waitpid(child.pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("error, code, last_line", [
+        (ServiceError("cannot write the store"), 2,
+         "error: cannot write the store"),
+        (RuntimeError("worker bug"), 1, "RuntimeError: worker bug"),
+    ])
+    def test_failed_workers_stall_the_sweep_and_are_reaped(
+        self, tmp_path, monkeypatch, error, code, last_line
+    ):
+        def failing_worker(*args, **kwargs):
+            print("noise before the failure", file=sys.stderr)
+            raise error
+
+        # The forked children inherit the patched module.
+        monkeypatch.setattr(executor, "run_worker", failing_worker)
+        children = self._record_children(monkeypatch)
+        with pytest.raises(ServiceError) as raised:
+            distributed_sweep(
+                tiny_grid(2), tmp_path / "store", workers=2,
+                log=lambda line: None, timeout=300,
+            )
+        message = str(raised.value)
+        assert "stalled" in message
+        for index in range(2):
+            assert f"w{index}-{os.getpid()} exited {code}" in message
+        assert message.count(last_line) == 2
+        self._assert_reaped(children, 2)
+        assert [child.returncode for child in children] == [code, code]
+
+    def test_timeout_kills_and_reaps_live_workers(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(
+            executor, "run_worker", lambda *args, **kwargs: time.sleep(60)
+        )
+        children = self._record_children(monkeypatch)
+        with pytest.raises(ServiceError, match="timed out"):
+            distributed_sweep(
+                tiny_grid(2), tmp_path / "store", workers=2,
+                log=lambda line: None, timeout=0.3,
+            )
+        self._assert_reaped(children, 2)
+        assert [child.returncode for child in children] == [
+            -signal.SIGKILL, -signal.SIGKILL
+        ]
+
+    def test_no_fork_is_a_typed_error(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ServiceError, match="--workers 0"):
+            distributed_sweep(
+                tiny_grid(2), tmp_path / "store", workers=2,
+                log=lambda line: None,
+            )
+
+    def test_trace_attributes_worker_start_up(self, tmp_path, lut_cache):
+        """``dist.start_workers`` wraps the forks under ``dist.sweep``;
+        each tracing worker's ``worker.attach`` starts at its fork and
+        ends with its first CLAIM reply."""
+        from repro.obs.tracing import Trace
+
+        trace_path = tmp_path / "trace.json"
+        distributed_sweep(
+            tiny_grid(4), tmp_path / "store", workers=2, chunk_size=2,
+            log=lambda line: None, timeout=300, trace=trace_path,
+        )
+        spans = Trace.from_file(trace_path).spans
+        (sweep,) = [s for s in spans if s.name == "dist.sweep"]
+        (start,) = [s for s in spans if s.name == "dist.start_workers"]
+        assert start.parent == sweep.id
+        assert start.args == {"workers": 2}
+        attaches = [s for s in spans if s.name == "worker.attach"]
+        assert attaches
+        for attach in attaches:
+            assert attach.parent is None
+            first = min(
+                (s for s in spans
+                 if s.name == "worker.claim" and s.proc == attach.proc),
+                key=lambda s: s.start_ns,
+            )
+            # Same process, same clock: the first claim nests inside.
+            assert attach.start_ns <= first.start_ns
+            assert abs(
+                attach.start_ns + attach.dur_ns
+                - (first.start_ns + first.dur_ns)
+            ) < 1000
+        assert len({s.proc for s in attaches}) == len(attaches)
 
 
 class TestCoordinatorCLI:

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 
@@ -506,6 +507,61 @@ class TestDaemon:
         )
         with pytest.raises(ServiceError, match="already running"):
             rival.start()
+
+
+class _Window:
+    """A QoS window's stats as ``ServeDaemon._observe_window`` reads them."""
+
+    completed = 3
+
+    def to_dict(self):
+        return {
+            "index": 2, "arrivals": 4, "completed": 3, "backlog": 1,
+            "fleet_size": 2, "utilization": 0.625, "slo_attainment": 0.75,
+            "energy_nj": 1234.5, "p50_ns": 100.0, "p95_ns": 250.5,
+            "p99_ns": None,
+        }
+
+
+class TestWindowMetrics:
+    def test_metrics_file_lines_are_unchanged(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.lp"
+        serving = ServeDaemon(
+            port=0, engine=Engine(use_disk_cache=False),
+            metrics_file=path, log=lambda line: None,
+        )
+        monkeypatch.setattr(time, "time_ns", lambda: 1700000000123456789)
+        serving._observe_window(types.SimpleNamespace(job_id="job-7"),
+                                _Window())
+        serving._metrics_writer.close()
+        assert path.read_bytes() == (
+            b"repro_qos_window,job=job-7 arrivals=4i,backlog=1i,"
+            b"completed=3i,energy_nj=1234.5,fleet_size=2i,index=2i,"
+            b"p50_ns=100.0,p95_ns=250.5,slo_attainment=0.75,"
+            b"utilization=0.625 1700000000123456789\n"
+        )
+
+    def test_no_metrics_file_renders_no_lines(self, monkeypatch):
+        def no_format(*args, **kwargs):
+            raise AssertionError("rendered a line with no metrics file")
+
+        monkeypatch.setattr("repro.service.daemon.format_line", no_format)
+        serving = ServeDaemon(
+            port=0, engine=Engine(use_disk_cache=False),
+            log=lambda line: None,
+        )
+        serving._observe_window(types.SimpleNamespace(job_id="job-7"),
+                                _Window())
+        assert "slo_attainment=0.75" in serving.metrics.render()
+        # A whole job, windows and finish line included, renders none.
+        serving.start()
+        try:
+            client = ServeClient(port=serving.port, timeout=60.0)
+            payload = client.result(client.submit(qos_config()))
+            assert payload["kind"] == "qos"
+        finally:
+            serving.drain()
+            serving.stop()
 
 
 class TestStop:
