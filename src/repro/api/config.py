@@ -33,6 +33,17 @@ from .registry import (
     SCENARIOS,
 )
 
+#: The fields holding registry keys, with the registry each resolves in.
+_REGISTRY_AXES = (
+    ("arch", ARCHITECTURES),
+    ("model", MODELS),
+    ("scenario", SCENARIOS),
+    ("policy", POLICIES),
+    ("dispatch", DISPATCH),
+    ("qos", QOS),
+    ("autoscaler", AUTOSCALERS),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -154,15 +165,31 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Check every registry key resolves; returns self for chaining."""
-        ARCHITECTURES.get(self.arch)
-        MODELS.get(self.model)
-        SCENARIOS.get(self.scenario)
-        if self.policy is not None:
-            POLICIES.get(self.policy)
-        DISPATCH.get(self.dispatch)
-        QOS.get(self.qos)
-        AUTOSCALERS.get(self.autoscaler)
+        self.canonical()
         return self
+
+    def canonical(self) -> "ExperimentConfig":
+        """This config with every registry key in its canonical spelling.
+
+        Registry keys are case-insensitive and may be aliases
+        (``"hh-pim"``, ``"resnet-18"``, ``"low_constant"``, ``"FIFO"``),
+        but :meth:`fingerprint` and :attr:`label` read the fields as
+        written, so two spellings of one experiment would get two store
+        keys; their canonical forms share one.  Returns ``self`` when
+        every key is already canonical, so the method is idempotent.
+        An unknown key raises :class:`~repro.errors.RegistryError` (a
+        :class:`~repro.errors.ConfigurationError`); ``policy=None``
+        stays ``None``.
+        """
+        changes = {}
+        for name, registry in _REGISTRY_AXES:
+            value = getattr(self, name)
+            if value is None:
+                continue
+            key = registry.canonical(value)
+            if key != value:
+                changes[name] = key
+        return dataclasses.replace(self, **changes) if changes else self
 
     @property
     def resolution(self) -> tuple:

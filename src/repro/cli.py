@@ -321,28 +321,21 @@ def _cmd_fleet(args) -> str:
     import json
 
     from .analysis import render_fleet
-    from .api import (
-        ARCHITECTURES,
-        DISPATCH,
-        MODELS,
-        SCENARIOS,
-        ExperimentConfig,
-        shared_engine,
-    )
+    from .api import ExperimentConfig, shared_engine
 
     engine = shared_engine()
     config = ExperimentConfig(
-        arch=ARCHITECTURES.canonical(args.arch),
-        model=MODELS.canonical(args.model),
-        scenario=SCENARIOS.canonical(args.scenario),
+        arch=args.arch,
+        model=args.model,
+        scenario=args.scenario,
         fleet=args.devices,
-        dispatch=DISPATCH.canonical(args.dispatch),
+        dispatch=args.dispatch,
         slices=args.slices,
         peak=args.peak,
         block_count=args.blocks,
         time_steps=args.steps,
         lut_cache=not args.no_cache,
-    )
+    ).canonical()
     result = engine.run_fleet(config)
     if args.json:
         return json.dumps(
@@ -356,36 +349,40 @@ def _cmd_fleet(args) -> str:
     return header + "\n\n" + render_fleet(result)
 
 
-def _qos_config(args):
-    """The fully keyed config behind ``repro qos`` and ``repro submit``."""
-    from .api import (
-        ARCHITECTURES,
-        AUTOSCALERS,
-        DISPATCH,
-        MODELS,
-        QOS,
-        SCENARIOS,
-        ExperimentConfig,
-    )
+def _qos_fields(args) -> dict:
+    """The experiment fields behind ``repro qos`` and ``repro submit``.
 
-    return ExperimentConfig(
-        arch=ARCHITECTURES.canonical(args.arch),
-        model=MODELS.canonical(args.model),
-        scenario=SCENARIOS.canonical(args.scenario),
-        fleet=args.devices,
-        max_fleet=args.max_devices,
-        dispatch=DISPATCH.canonical(args.dispatch),
-        qos=QOS.canonical(args.discipline),
-        autoscaler=AUTOSCALERS.canonical(args.autoscaler),
-        slo=args.slo,
-        batch=args.batch,
-        slices=args.slices,
-        peak=args.peak,
-        seed=args.seed,
-        block_count=args.blocks,
-        time_steps=args.steps,
-        lut_cache=not args.no_cache,
-    )
+    Keyed by :class:`~repro.api.config.ExperimentConfig` field name and
+    left as typed, so ``repro submit`` sends them without loading the
+    engine; the daemon validates and canonicalises them as
+    :func:`_qos_config` does.  Fields without a flag are left out for
+    ``from_dict`` to default.
+    """
+    return {
+        "arch": args.arch,
+        "model": args.model,
+        "scenario": args.scenario,
+        "fleet": args.devices,
+        "max_fleet": args.max_devices,
+        "dispatch": args.dispatch,
+        "qos": args.discipline,
+        "autoscaler": args.autoscaler,
+        "slo": args.slo,
+        "batch": args.batch,
+        "slices": args.slices,
+        "peak": args.peak,
+        "seed": args.seed,
+        "block_count": args.blocks,
+        "time_steps": args.steps,
+        "lut_cache": not args.no_cache,
+    }
+
+
+def _qos_config(args):
+    """The canonical config behind ``repro qos``."""
+    from .api import ExperimentConfig
+
+    return ExperimentConfig.from_dict(_qos_fields(args)).canonical()
 
 
 def _cmd_qos(args) -> str:
@@ -439,7 +436,7 @@ def _cmd_submit(args) -> str:
 
     client = ServeClient(host=args.host, port=args.port)
     job_id = client.submit(
-        _qos_config(args), kind=args.kind, records=args.records
+        _qos_fields(args), kind=args.kind, records=args.records
     )
     if args.no_wait:
         return job_id

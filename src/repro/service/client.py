@@ -83,16 +83,19 @@ class ServeClient:
                records: bool = False, trace: bool = False) -> str:
         """Enqueue one experiment; returns its job id.
 
-        ``config`` is an :class:`~repro.api.config.ExperimentConfig` or
-        its dict form; ``kind`` picks the execution path (``run``,
-        ``fleet`` or ``qos``); ``records`` asks the eventual RESULT to
-        include per-device records; ``trace`` asks a tracing daemon to
-        attach the job's span subtree to the RESULT payload under
-        ``trace`` (an empty list when the daemon is not tracing).
+        ``config`` is an :class:`~repro.api.config.ExperimentConfig`
+        (sent as its ``to_dict()``) or a dict of any subset of those
+        fields, sent unchanged: the daemon fills the missing fields
+        with their defaults, canonicalises registry keys and validates,
+        so a bad config surfaces here as a :class:`RemoteError` with
+        code ``bad_config``, and this client never loads the engine.
+        ``kind`` picks the execution path (``run``, ``fleet`` or
+        ``qos``); ``records`` asks the eventual RESULT to include
+        per-device records; ``trace`` asks a tracing daemon to attach
+        the job's span subtree to the RESULT payload under ``trace``
+        (an empty list when the daemon is not tracing).
         """
-        from ..api.config import ExperimentConfig
-
-        if isinstance(config, ExperimentConfig):
+        if hasattr(config, "to_dict"):
             config = config.to_dict()
         fields = {"kind": kind, "config": config, "records": records}
         if trace:

@@ -174,6 +174,10 @@ class ServeDaemon:
             "repro_qos", "requests_completed"
         )
         self._job_wall = self.metrics.histogram("repro_serve_jobs", "wall_s")
+        #: The latest non-None value of each QoS window field, copied
+        #: into the ``repro_qos_window`` gauges only when they render.
+        self._last_window: dict = {}
+        self.metrics.add_collector(self._set_window_gauges)
 
     # -- logging / files ---------------------------------------------------------
 
@@ -461,9 +465,14 @@ class ServeDaemon:
             )
             if window[key] is not None
         }
-        for key, value in gauges.items():
-            self.metrics.gauge("repro_qos_window", key).set(value)
+        # A new dict, never mutated once published: a scrape on another
+        # thread reads whole windows.  A None field keeps its last value.
+        self._last_window = {**self._last_window, **gauges}
         self._append_metrics("repro_qos_window", {"job": job.job_id}, gauges)
+
+    def _set_window_gauges(self) -> None:
+        for key, value in self._last_window.items():
+            self.metrics.gauge("repro_qos_window", key).set(value)
 
     def _append_metrics(self, measurement: str, tags: dict,
                         fields: dict) -> None:
@@ -526,8 +535,11 @@ class ServeDaemon:
             )
         kind = message.get("kind", "qos")
         try:
-            config = ExperimentConfig.from_dict(message["config"]).validate()
-        except ReproError as error:
+            # Canonical before the job exists, so every spelling of one
+            # experiment gets one label and one store key.
+            config = ExperimentConfig.from_dict(message["config"]).canonical()
+        except (ReproError, TypeError) as error:
+            # TypeError: a wire value of the wrong JSON type.
             raise ProtocolError(str(error), code="bad_config") from error
         with self._jobs_lock:
             self._next_id += 1

@@ -13,8 +13,12 @@ Requests
 --------
 ``SUBMIT``
     ``{"kind": "run"|"fleet"|"qos", "config": {...}, "records": bool}``
-    — enqueue one experiment; the config dict is the
-    :meth:`~repro.api.config.ExperimentConfig.to_dict` form.  Replies
+    — enqueue one experiment; the config dict holds any subset of the
+    :meth:`~repro.api.config.ExperimentConfig.to_dict` fields.  The
+    daemon fills the missing ones with their defaults, canonicalises
+    registry keys (so every spelling of one experiment shares one job
+    label and one store key) and validates, replying ``bad_config`` to
+    an unknown key or value.  Replies
     ``{"type": "SUBMITTED", "job_id": ...}``.  The optional ``trace``
     boolean asks the daemon to attach the job's span subtree (a list
     of :meth:`~repro.obs.tracing.Span.to_dict` records) to the job's

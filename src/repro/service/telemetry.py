@@ -216,6 +216,26 @@ class MetricsRegistry:
         #: (measurement, sorted-tags-tuple) -> {field: metric}
         self._groups: dict = {}
         self._tags: dict = {}
+        self._collectors: list = []
+
+    def add_collector(self, collect) -> None:
+        """Call ``collect()`` before every render, to set gauges lazily.
+
+        A value that changes far more often than it is scraped (a
+        per-window QoS gauge) is cheaper to keep in a plain attribute
+        and copy into its gauge here than to set on every change.
+        """
+        self._collectors.append(collect)
+
+    def _snapshot(self) -> list:
+        """Run the collectors; then ``(key, tags, group)``, sorted."""
+        for collect in self._collectors:
+            collect()
+        with self._lock:
+            return [
+                (key, self._tags[key], dict(group))
+                for key, group in sorted(self._groups.items())
+            ]
 
     def _metric(self, factory, measurement: str, field: str, tags: dict):
         key = (measurement, tuple(sorted((tags or {}).items())))
@@ -249,13 +269,8 @@ class MetricsRegistry:
 
     def lines(self, timestamp_ns: int | None = None) -> list:
         """Every measurement as one line-protocol line, sorted."""
-        with self._lock:
-            snapshot = [
-                (key, self._tags[key], dict(group))
-                for key, group in sorted(self._groups.items())
-            ]
         lines = []
-        for (measurement, _), tags, group in snapshot:
+        for (measurement, _), tags, group in self._snapshot():
             fields: dict = {}
             for field, metric in group.items():
                 fields.update(metric.fields(field))
@@ -278,13 +293,8 @@ class MetricsRegistry:
         naming.  Histograms expand into their ``_count``/``_sum``/...
         fields exactly as they render.
         """
-        with self._lock:
-            snapshot = [
-                (key, self._tags[key], dict(group))
-                for key, group in sorted(self._groups.items())
-            ]
         values: dict = {}
-        for (measurement, _), tags, group in snapshot:
+        for (measurement, _), tags, group in self._snapshot():
             name = measurement + "".join(
                 f",{escape_tag(key)}={escape_tag(tags[key])}"
                 for key in sorted(tags)

@@ -153,6 +153,46 @@ class TestExperimentConfig:
         with pytest.raises(RegistryError):
             ExperimentConfig(arch="NoSuchFabric").validate()
 
+    def test_canonical_maps_every_spelling_to_its_key(self):
+        from repro.api.config import _REGISTRY_AXES
+
+        for name, registry in _REGISTRY_AXES:
+            spellings = {
+                spelling: key
+                for key in registry.keys()
+                for spelling in (key, key.lower(), key.upper())
+            }
+            for alias, target in registry._aliases.items():
+                spellings[alias] = registry.canonical(target)
+            for spelling, key in spellings.items():
+                config = ExperimentConfig(**{name: spelling}).canonical()
+                assert getattr(config, name) == key, (name, spelling)
+
+    def test_canonical_shares_label_and_fingerprint(self):
+        alias = ExperimentConfig(arch="hh-pim", model="resnet-18",
+                                 scenario="low_constant", qos="FIFO",
+                                 dispatch="ROUND_ROBIN", autoscaler="Fixed")
+        canonical = ExperimentConfig(arch="HH-PIM", model="ResNet-18",
+                                     scenario="case1")
+        assert alias.fingerprint() != canonical.fingerprint()
+        assert alias.canonical() == canonical
+        assert alias.canonical().label == canonical.label
+        assert alias.canonical().fingerprint() == canonical.fingerprint()
+
+    def test_canonical_is_idempotent_and_keeps_policy_none(self):
+        config = ExperimentConfig(arch="hybrid-pim", **TINY).canonical()
+        assert config.policy is None
+        assert config.canonical() is config
+        assert ExperimentConfig().canonical() == ExperimentConfig()
+
+    @pytest.mark.parametrize("axis", [
+        "arch", "model", "scenario", "policy", "dispatch", "qos",
+        "autoscaler",
+    ])
+    def test_canonical_rejects_unknown_keys(self, axis):
+        with pytest.raises(ConfigurationError, match="nope"):
+            ExperimentConfig(**{axis: "nope"}).canonical()
+
     def test_sweep_order_and_shape(self):
         base = ExperimentConfig(**TINY)
         configs = base.sweep(arch=["HH-PIM", "Hybrid-PIM"],

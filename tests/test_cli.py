@@ -425,6 +425,84 @@ class TestServeCli:
         return ["submit", "--port", port, "--scenario", "case1",
                 "--slices", "6", "--blocks", "16", "--steps", "1500"]
 
+    #: One experiment in alias spellings, and in canonical ones.
+    ALIASES = ("--arch", "hh-pim", "--model", "resnet-18",
+               "--scenario", "low_constant", "--discipline", "FIFO")
+    CANONICAL = ("--arch", "HH-PIM", "--model", "ResNet-18",
+                 "--scenario", "case1", "--discipline", "fifo")
+    SMALL = ("--slices", "6", "--blocks", "16", "--steps", "1500", "--json")
+
+    def test_alias_spellings_are_canonicalised_by_the_daemon(self, capsys):
+        from repro.api import Engine
+        from repro.service import ServeClient, ServeDaemon
+
+        outputs, labels = [], []
+        for spelling in (self.ALIASES, self.CANONICAL):
+            serving = ServeDaemon(port=0, engine=Engine(use_disk_cache=False),
+                                  log=lambda line: None)
+            serving.start()
+            try:
+                port = str(serving.port)
+                outputs.append(
+                    run_cli(capsys, "submit", "--port", port, *spelling,
+                            *self.SMALL)
+                )
+                client = ServeClient(port=serving.port)
+                labels.append(client.status("job-000001")["job"]["label"])
+            finally:
+                serving.drain()
+                serving.stop()
+        assert labels == ["HH-PIM/ResNet-18/case1"] * 2
+        assert outputs[0] == outputs[1]
+
+    def test_every_spelling_shares_one_store_key(self, capsys, tmp_path):
+        from repro.api import Engine
+        from repro.service import ServeClient, ServeDaemon
+        from repro.store import Store
+
+        engine = Engine(store=Store(tmp_path / "store"),
+                        use_disk_cache=False)
+        serving = ServeDaemon(port=0, engine=engine, log=lambda line: None)
+        serving.start()
+        try:
+            port = str(serving.port)
+            run_cli(capsys, "submit", "--port", port, *self.ALIASES,
+                    *self.SMALL)
+            built = engine.stats.dp_builds
+            assert (engine.stats.runs, engine.stats.store_hits) == (1, 0)
+            run_cli(capsys, "submit", "--port", port, *self.CANONICAL,
+                    *self.SMALL)
+            client = ServeClient(port=serving.port)
+            client.result(client.submit({
+                "arch": "hh-pim", "model": "resnet-18",
+                "scenario": "low_constant", "qos": "FIFO", "fleet": 2,
+                "slices": 6, "block_count": 16, "time_steps": 1500,
+            }))
+            assert engine.stats.dp_builds == built
+            assert (engine.stats.runs, engine.stats.store_hits) == (1, 2)
+        finally:
+            serving.drain()
+            serving.stop()
+
+    def test_unknown_scenario_is_one_error_line(self, capsys, daemon):
+        port = str(daemon.port)
+        code = main(["submit", "--port", port, "--scenario", "nope",
+                     "--slices", "6", "--blocks", "16", "--steps", "1500"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: unknown scenario 'nope'")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        out = run_cli(capsys, "status", "--port", port)
+        assert "jobs: 0 done, 0 failed, 0 running, 0 queued" in out
+
+    def test_bad_value_reports_what_local_validation_does(self, capsys,
+                                                           daemon):
+        for argv in (["submit", "--port", str(daemon.port)], ["qos"]):
+            assert main([*argv, "--slices", "0"]) == 2
+            assert capsys.readouterr().err == (
+                "error: slices must be positive\n"
+            )
+
 
 class TestParser:
     def test_requires_command(self):

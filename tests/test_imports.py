@@ -36,6 +36,12 @@ QOS_UNUSED = (
     "importlib.metadata",
 )
 
+#: What a serve client verb must not load: the numeric stack and the
+#: engine.  The parser's numpy-free defaults (``repro.core.defaults``,
+#: through the lazy ``repro.core`` package) are the one exception.
+ENGINE = ("numpy", "repro.api", "repro.core")
+PARSER_DEFAULTS = {"repro.core", "repro.core.defaults"}
+
 
 def loaded_modules(code: str, tmp_path, **env) -> set:
     """``sys.modules`` after running ``code`` in a fresh interpreter."""
@@ -86,6 +92,34 @@ class TestColdImports:
         )
         assert "repro.api.engine" in modules  # the probe really ran
         assert sorted(set(QOS_UNUSED) & modules) == []
+
+
+class TestClientImports:
+    """``repro submit``/``status``/``shutdown`` are thin wire clients."""
+
+    @pytest.mark.parametrize("verb", ["submit", "status", "shutdown"])
+    def test_client_verb_loads_no_engine(self, tmp_path, verb):
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = str(probe.getsockname()[1])
+        modules = loaded_modules(
+            "from repro import cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = cli.main([{verb!r}, '--port', {port!r}])\n"
+            "assert code == 2, code\n"
+            "assert 'is repro serve running?' in err.getvalue(), err.getvalue()",
+            tmp_path,
+        )
+        assert "repro.service.client" in modules  # the probe really ran
+        engine = sorted(
+            name for name in modules - PARSER_DEFAULTS
+            if any(name == top or name.startswith(top + ".")
+                   for top in ENGINE)
+        )
+        assert engine == []
 
 
 class TestLazyExports:

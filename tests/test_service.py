@@ -478,6 +478,12 @@ class TestDaemon:
             client.submit(config)
         assert err.value.code == "bad_config"
 
+    def test_wrongly_typed_field_is_bad_config(self, client):
+        with pytest.raises(RemoteError) as err:
+            client.submit({"slices": "six"})
+        assert err.value.code == "bad_config"
+        assert client.ping()
+
     def test_raw_socket_error_replies(self, daemon):
         def exchange(message):
             with socket.create_connection(
@@ -539,6 +545,23 @@ class TestWindowMetrics:
             b"completed=3i,energy_nj=1234.5,fleet_size=2i,index=2i,"
             b"p50_ns=100.0,p95_ns=250.5,slo_attainment=0.75,"
             b"utilization=0.625 1700000000123456789\n"
+        )
+
+    def test_gauges_hold_the_last_value_of_each_field(self):
+        serving = ServeDaemon(
+            port=0, engine=Engine(use_disk_cache=False),
+            log=lambda line: None,
+        )
+        assert "repro_qos_window" not in serving.metrics.render()
+        job = types.SimpleNamespace(job_id="job-7")
+        later = _Window()
+        later.to_dict = lambda: {**_Window().to_dict(), "index": 3,
+                                 "p50_ns": None, "p99_ns": 300.0}
+        serving._observe_window(job, _Window())
+        serving._observe_window(job, later)
+        window = serving.metrics.values()["repro_qos_window"]
+        assert (window["index"], window["p50_ns"], window["p99_ns"]) == (
+            3, 100.0, 300.0
         )
 
     def test_no_metrics_file_renders_no_lines(self, monkeypatch):
