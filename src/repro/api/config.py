@@ -54,6 +54,14 @@ class ExperimentConfig:
     architecture (dynamic LUT on HH-PIM, the fixed Table I policies on
     the comparison groups).  ``t_slice_ns=None`` sizes the slice with the
     paper's rule (10 peak-rate inferences plus headroom).
+
+    Registry keys are case-insensitive and may be aliases (``"hh-pim"``,
+    ``"resnet-18"``, ``"low_constant"``, ``"FIFO"``); construction stores
+    each in its canonical spelling, so two spellings of one experiment
+    are one equal config with one :attr:`label` and one
+    :meth:`fingerprint` (store key).  An unknown key raises
+    :class:`~repro.errors.RegistryError` (a
+    :class:`~repro.errors.ConfigurationError`).
     """
 
     arch: str = "HH-PIM"
@@ -160,36 +168,16 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"batch size must be a positive integer, got {self.batch!r}"
             )
+        for name, registry in _REGISTRY_AXES:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, registry.canonical(value))
 
     # -- registry resolution ----------------------------------------------------
 
     def validate(self) -> "ExperimentConfig":
-        """Check every registry key resolves; returns self for chaining."""
-        self.canonical()
+        """Returns self: construction already resolved every registry key."""
         return self
-
-    def canonical(self) -> "ExperimentConfig":
-        """This config with every registry key in its canonical spelling.
-
-        Registry keys are case-insensitive and may be aliases
-        (``"hh-pim"``, ``"resnet-18"``, ``"low_constant"``, ``"FIFO"``),
-        but :meth:`fingerprint` and :attr:`label` read the fields as
-        written, so two spellings of one experiment would get two store
-        keys; their canonical forms share one.  Returns ``self`` when
-        every key is already canonical, so the method is idempotent.
-        An unknown key raises :class:`~repro.errors.RegistryError` (a
-        :class:`~repro.errors.ConfigurationError`); ``policy=None``
-        stays ``None``.
-        """
-        changes = {}
-        for name, registry in _REGISTRY_AXES:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            key = registry.canonical(value)
-            if key != value:
-                changes[name] = key
-        return dataclasses.replace(self, **changes) if changes else self
 
     @property
     def resolution(self) -> tuple:

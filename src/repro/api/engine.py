@@ -103,15 +103,16 @@ class _ResolvedRuntime:
         )
 
     def build(self) -> TimeSliceRuntime:
-        return TimeSliceRuntime(
-            self.spec,
-            self.model,
-            t_slice_ns=self.t_slice_ns,
-            policy=self.policy,
-            block_count=self.block_count,
-            time_steps=self.time_steps,
-            granule_bytes=self.granule_bytes,
-        )
+        with _span("engine.runtime_build", arch=self.spec.name):
+            return TimeSliceRuntime(
+                self.spec,
+                self.model,
+                t_slice_ns=self.t_slice_ns,
+                policy=self.policy,
+                block_count=self.block_count,
+                time_steps=self.time_steps,
+                granule_bytes=self.granule_bytes,
+            )
 
 
 def _materialize_runtime(resolved: _ResolvedRuntime) -> tuple:

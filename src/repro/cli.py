@@ -132,10 +132,10 @@ def _cmd_fig4(args) -> str:
 
 def _cmd_fig6(args) -> str:
     from .analysis import render_fig6
-    from .api import MODELS, ExperimentConfig, shared_engine
+    from .api import ExperimentConfig, shared_engine
 
     config = ExperimentConfig(
-        arch="HH-PIM", model=MODELS.canonical(args.model),
+        arch="HH-PIM", model=args.model,
         block_count=args.blocks, time_steps=args.steps,
     )
     runtime = shared_engine().runtime(config)
@@ -152,10 +152,8 @@ def _base_config(args):
 
 
 def _resolve_axis(values, registry) -> list:
-    """Canonicalise a repeatable CLI axis, defaulting to every key."""
-    if not values:
-        return registry.keys()
-    return [registry.canonical(value) for value in values]
+    """A repeatable CLI axis, defaulting to every key of its registry."""
+    return values or registry.keys()
 
 
 def _results_table(results):
@@ -190,13 +188,13 @@ def _results_table(results):
 def _cmd_run(args) -> str:
     import json
 
-    from .api import ARCHITECTURES, MODELS, shared_engine
+    from .api import ARCHITECTURES, shared_engine
     from .workloads import ALL_CASES
 
     engine = shared_engine()
     configs = _base_config(args).sweep(
         arch=_resolve_axis(args.arch, ARCHITECTURES),
-        model=MODELS.canonical(args.model),
+        model=args.model,
         scenario=f"case{args.case}",
     )
     results = engine.run_many(configs, max_workers=args.workers)
@@ -335,7 +333,7 @@ def _cmd_fleet(args) -> str:
         block_count=args.blocks,
         time_steps=args.steps,
         lut_cache=not args.no_cache,
-    ).canonical()
+    )
     result = engine.run_fleet(config)
     if args.json:
         return json.dumps(
@@ -382,7 +380,7 @@ def _qos_config(args):
     """The canonical config behind ``repro qos``."""
     from .api import ExperimentConfig
 
-    return ExperimentConfig.from_dict(_qos_fields(args)).canonical()
+    return ExperimentConfig.from_dict(_qos_fields(args))
 
 
 def _cmd_qos(args) -> str:

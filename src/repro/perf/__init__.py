@@ -1,15 +1,15 @@
 """Performance harness: reproducible timings behind ``repro bench``.
 
-The harness times the paths the ROADMAP cares about — LUT construction
-(frontier vs the scalar reference, cold vs persistent-cache warm),
-sweep throughput through the experiment engine, per-slice lookup
-latency, the slice loop, QoS, the store, the daemon, the distributed
-executor and tracing overhead — and writes machine-readable
+The harness times each fast path against its oracle in one process —
+LUT construction (frontier vs the scalar reference, cold vs
+persistent-cache warm), the slice loop, QoS, the store resume, the
+distributed executor and tracing overhead — and writes machine-readable
 ``BENCH_*.json`` artifacts that CI uploads and gates on.
-:data:`SECTIONS` is the one table of sections, headline metrics and
+:data:`SECTIONS` is the one table of sections, headline ratios and
 gate thresholds; :mod:`repro.perf.trend` compares a fresh run's
-headline metrics against the committed baselines so CI also catches
-*relative* drift, not just absolute-floor violations.
+headline ratios against the committed baselines so CI also catches
+*relative* drift, not just absolute-floor violations.  Wall time of
+whole commands is measured by ``perfbench/``.
 """
 
 from .._lazy import lazy_exports

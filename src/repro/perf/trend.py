@@ -4,12 +4,15 @@
 artifacts — the committed baselines at the repo root and a fresh
 ``repro bench --out`` run — and compares each section's *headline*
 metric (:attr:`BenchSection.headline <repro.perf.bench.BenchSection>`
-in :data:`~repro.perf.bench.SECTIONS`).  Every headline metric is
-higher-is-better (a speedup or a rate), so a section **regresses** when
+in :data:`~repro.perf.bench.SECTIONS`; sections with gates only have
+none).  Every headline is a higher-is-better ratio of two timings
+taken in one process, so a section **regresses** when
 
     ``current < baseline * (1 - tolerance)``
 
-with the default tolerance of 30%.  The comparison renders as a
+with the default tolerance of 30%.  A baseline recorded in the other
+mode (``--quick`` against a full run) measures a different grid, so it
+is refused rather than compared.  The comparison renders as a
 markdown delta table for ``$GITHUB_STEP_SUMMARY`` and the CLI exits
 non-zero when any section regresses, turning silent perf drift into a
 red check without gating on absolute numbers (which vary by runner).
@@ -54,8 +57,8 @@ class TrendDelta:
     regressed: bool
 
 
-def _load_metrics(directory: Path, section: str) -> dict | None:
-    """The ``metrics`` payload of one artifact, or None when absent."""
+def _load_artifact(directory: Path, section: str) -> dict | None:
+    """One section's artifact, or None when absent."""
     path = directory / f"{BENCH_PREFIX}{section}.json"
     if not path.is_file():
         return None
@@ -63,10 +66,9 @@ def _load_metrics(directory: Path, section: str) -> dict | None:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ReproError(f"unreadable bench artifact {path}: {exc}") from exc
-    metrics = payload.get("metrics")
-    if not isinstance(metrics, dict):
+    if not isinstance(payload.get("metrics"), dict):
         raise ReproError(f"bench artifact {path} has no metrics object")
-    return metrics
+    return payload
 
 
 def compare_reports(
@@ -76,10 +78,11 @@ def compare_reports(
 ) -> list[TrendDelta]:
     """Compare every section's headline metric across two artifact dirs.
 
-    Sections with no committed baseline are skipped (new sections land
-    green and start gating once their artifact is committed); a section
-    with a baseline but no current artifact is an error — the bench run
-    silently lost coverage.
+    Sections with no headline or no committed baseline are skipped (new
+    sections land green and start gating once their artifact is
+    committed); a section with a baseline but no current artifact is an
+    error — the bench run silently lost coverage — and so is a baseline
+    recorded in the other ``quick`` mode.
     """
     baseline_root = Path(baseline_dir)
     current_root = Path(current_dir)
@@ -90,15 +93,24 @@ def compare_reports(
     deltas = []
     for row in SECTIONS:
         section, metric = row.name, row.headline
-        baseline = _load_metrics(baseline_root, section)
+        if metric is None:
+            continue
+        baseline = _load_artifact(baseline_root, section)
         if baseline is None:
             continue
-        current = _load_metrics(current_root, section)
+        current = _load_artifact(current_root, section)
         if current is None:
             raise ReproError(
                 f"bench section {section!r} has a committed baseline but "
                 f"no current artifact in {current_root}"
             )
+        if baseline.get("quick") != current.get("quick"):
+            raise ReproError(
+                f"bench section {section!r} baseline has quick="
+                f"{baseline.get('quick')} but the current artifact has "
+                f"quick={current.get('quick')}; compare runs of one mode"
+            )
+        baseline, current = baseline["metrics"], current["metrics"]
         for side, metrics in (("baseline", baseline), ("current", current)):
             if metric not in metrics:
                 raise ReproError(

@@ -12,9 +12,14 @@ allocation LUT's placement decisions, scored by streaming percentile and
 SLO series (:mod:`repro.qos.slo`), and capacity-managed by pluggable
 autoscalers (:mod:`repro.qos.autoscale`).
 
-With zero queueing the simulator degenerates *exactly* to
+While every slice meets its deadline (no request waits past its
+service window) the simulator degenerates *exactly* to
 :class:`repro.serving.fleet.Fleet` — same per-slice records, bit for bit
-— so every QoS number stays anchored to the paper's energy model.
+— so every QoS number stays anchored to the paper's energy model.  Under
+overload the two part ways: ``Fleet`` books each slice's overrun as a
+missed deadline in that slice's record, while the simulator carries the
+unserved requests into later windows (past the scenario's last slice
+if need be), so its windows, records and energy differ.
 
 Two engines share the simulator's semantics: the *vectorized* batch
 engine (columnar :class:`RequestBatch` streams, one lexsort per queue,

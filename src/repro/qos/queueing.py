@@ -6,10 +6,13 @@ deterministic :class:`~repro.sim.events.EventQueue`.  The clock follows
 the paper's double-buffered slice discipline: requests arriving during
 slice ``s`` are staged at the boundary ``(s+1)T`` and served during the
 **service window** ``[(s+1)T, (s+2)T)`` — which is exactly the work the
-slice runtime books under record index ``s``, so with zero queueing the
-simulator's per-device :class:`~repro.core.runtime.SliceRecord` streams
-are bit-identical to :class:`repro.serving.fleet.Fleet`'s (the
-differential suite pins this).
+slice runtime books under record index ``s``, so while every slice
+meets its deadline (nothing queues past its window) the simulator's
+per-device :class:`~repro.core.runtime.SliceRecord` streams are
+bit-identical to :class:`repro.serving.fleet.Fleet`'s (the differential
+suite pins this).  Under overload they differ: ``Fleet`` records a
+missed deadline and moves on, while the simulator carries the backlog
+into later windows.
 
 Each window, each provisioned device:
 

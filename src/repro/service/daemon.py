@@ -535,9 +535,9 @@ class ServeDaemon:
             )
         kind = message.get("kind", "qos")
         try:
-            # Canonical before the job exists, so every spelling of one
-            # experiment gets one label and one store key.
-            config = ExperimentConfig.from_dict(message["config"]).canonical()
+            # Construction canonicalises before the job exists, so every
+            # spelling of one experiment gets one label and one store key.
+            config = ExperimentConfig.from_dict(message["config"])
         except (ReproError, TypeError) as error:
             # TypeError: a wire value of the wrong JSON type.
             raise ProtocolError(str(error), code="bad_config") from error

@@ -165,7 +165,7 @@ class TestExperimentConfig:
             for alias, target in registry._aliases.items():
                 spellings[alias] = registry.canonical(target)
             for spelling, key in spellings.items():
-                config = ExperimentConfig(**{name: spelling}).canonical()
+                config = ExperimentConfig(**{name: spelling})
                 assert getattr(config, name) == key, (name, spelling)
 
     def test_canonical_shares_label_and_fingerprint(self):
@@ -174,16 +174,18 @@ class TestExperimentConfig:
                                  dispatch="ROUND_ROBIN", autoscaler="Fixed")
         canonical = ExperimentConfig(arch="HH-PIM", model="ResNet-18",
                                      scenario="case1")
-        assert alias.fingerprint() != canonical.fingerprint()
-        assert alias.canonical() == canonical
-        assert alias.canonical().label == canonical.label
-        assert alias.canonical().fingerprint() == canonical.fingerprint()
+        assert alias == canonical
+        assert hash(alias) == hash(canonical)
+        assert alias.label == canonical.label
+        assert alias.fingerprint() == canonical.fingerprint()
+        assert alias.replace(slices=7) == canonical.replace(slices=7)
 
     def test_canonical_is_idempotent_and_keeps_policy_none(self):
-        config = ExperimentConfig(arch="hybrid-pim", **TINY).canonical()
+        config = ExperimentConfig(arch="hybrid-pim", **TINY)
+        assert config.arch == "Hybrid-PIM"
         assert config.policy is None
-        assert config.canonical() is config
-        assert ExperimentConfig().canonical() == ExperimentConfig()
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        assert ExperimentConfig(policy="DYNAMIC_LUT").policy == "dynamic_lut"
 
     @pytest.mark.parametrize("axis", [
         "arch", "model", "scenario", "policy", "dispatch", "qos",
@@ -191,7 +193,7 @@ class TestExperimentConfig:
     ])
     def test_canonical_rejects_unknown_keys(self, axis):
         with pytest.raises(ConfigurationError, match="nope"):
-            ExperimentConfig(**{axis: "nope"}).canonical()
+            ExperimentConfig(**{axis: "nope"})
 
     def test_sweep_order_and_shape(self):
         base = ExperimentConfig(**TINY)
@@ -361,6 +363,43 @@ class TestEngine:
         # serial path reuses them too
         engine.run(configs[0])
         assert engine.stats.lut_builds == 2
+
+    def test_alias_spellings_share_one_store_key(self, tmp_path):
+        """The engine canonicalises before it fingerprints: an alias
+        spelling of a stored experiment is a store hit, not a second
+        row."""
+        from repro.store import Store
+
+        engine = Engine(store=tmp_path / "store")
+        first = engine.run_qos(ExperimentConfig(arch="hh-pim", slices=4,
+                                                **TINY))
+        again = engine.run_qos(ExperimentConfig(arch="HH-PIM", slices=4,
+                                                **TINY))
+        assert engine.stats.runs == 1
+        assert engine.stats.store_hits == 1
+        assert again.to_dict() == first.to_dict()
+        rows = Store(tmp_path / "store").qos_rows()
+        assert [row["arch"] for row in rows] == ["HH-PIM"]
+
+    def test_records_carry_the_canonical_config(self, tmp_path):
+        from repro.store import Store
+
+        engine = Engine(store=tmp_path / "store")
+        alias = ExperimentConfig(arch="hybrid-pim", scenario="CASE2",
+                                 slices=2, **TINY)
+        canonical = ExperimentConfig(arch="Hybrid-PIM", scenario="case2",
+                                     slices=2, **TINY)
+        record = engine.run_record(alias)
+        assert record.config.to_dict() == canonical.to_dict()
+        assert record.config.label == "Hybrid-PIM/EfficientNet-B0/case2"
+        stored = engine.run_many([alias], spill=True)
+        resumed = engine.run_many([canonical])
+        assert [r.config for r in stored] == [r.config for r in resumed]
+        assert engine.stats.store_hits == 1
+        # The store key is the same whichever spelling asks for it.
+        assert Store(tmp_path / "store").get(alias).config == canonical
+        fleet = engine.run_fleet_record(alias.replace(fleet=2))
+        assert fleet.config == canonical.replace(fleet=2)
 
     def test_pool_lut_cached_flags_match_serial(self):
         configs = ExperimentConfig(slices=2, **TINY).sweep(

@@ -124,6 +124,23 @@ class TestKilledWorker:
         assert status["done"]
         assert status["configs"]["completed"] == len(grid)
 
+    def test_alias_spelled_grid_reads_back(self, tmp_path, lut_cache):
+        """Workers store each record under its config's key, and the
+        result set looks records up by the configs it was given; alias
+        spellings are one config, so the two keys agree."""
+        grid = ExperimentConfig(arch="hh-pim", model="efficientnet-b0",
+                                **TINY).sweep(scenario=["CASE1", "case2"])
+        canonical = ExperimentConfig(**TINY).sweep(
+            scenario=["case1", "case2"]
+        )
+        reference = Engine().run_many(canonical).to_json()
+        results = distributed_sweep(
+            grid, tmp_path / "store", workers=2, chunk_size=1,
+            log=lambda line: None, timeout=300,
+        )
+        assert [record.config for record in results] == list(canonical)
+        assert results.to_json() == reference
+
     def test_traced_sweep_merges_one_trace_across_processes(
         self, tmp_path, lut_cache
     ):

@@ -467,6 +467,33 @@ class TestTracingDoesNotPerturb:
                 "lutcache.fetch_or_build"} <= names
         assert tracer.spans_recorded == len(tracer.spans)
 
+    def test_runtime_build_has_its_own_span(self, tmp_path):
+        """On a cache miss the runtime build sits between the cache
+        fetch and the DP, so its self time is not the cache's."""
+        from repro.core import lutcache
+
+        with lutcache.temporary_cache_dir(tmp_path):
+            tracer = obs_tracing.activate(proc="test", epoch_ns=0)
+            try:
+                Engine().run(ExperimentConfig(slices=2, **TINY))
+            finally:
+                obs_tracing.deactivate()
+        by_id = {s.id: s for s in tracer.spans}
+        builds = [s for s in tracer.spans if s.name == "engine.runtime_build"]
+        assert builds
+        for build in builds:
+            fetch = by_id[build.parent]
+            assert fetch.name == "lutcache.fetch_or_build"
+            assert fetch.args["kind"] == "runtime"
+        # The t-slice bootstrap has a cache entry of its own; every DP
+        # of a runtime entry runs inside the runtime build.
+        dp_parents = [
+            by_id[s.parent]
+            for s in tracer.spans if s.name == "core.dp_build"
+        ]
+        assert any(p.name == "engine.runtime_build" for p in dp_parents)
+        assert all(p.args.get("kind") != "runtime" for p in dp_parents)
+
     def test_qos_run_bit_identical_under_tracing(self):
         config = ExperimentConfig(
             scenario="bursty", slices=8, fleet=2, qos="edf", batch=2,

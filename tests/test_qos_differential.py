@@ -125,3 +125,21 @@ def test_engine_run_qos_matches_run_fleet(engine):
             qos.device_records[device]
             == list(fleet_result.device_results[device].records)
         )
+
+
+def test_overload_parts_ways_with_fleet(engine):
+    """The equivalence needs every slice to meet its deadline.  Under
+    overload ``Fleet`` books the misses slice by slice, while the QoS
+    simulator carries the backlog into extra windows, so routing
+    ``repro fleet`` through QoS would change its output."""
+    config = ExperimentConfig(
+        scenario="bursty", fleet=2, peak=30, slices=12, **TINY
+    )
+    fleet_result = engine.run_fleet(config)
+    qos = engine.run_qos(config)
+    records = [r.records for r in fleet_result.device_results]
+    assert [len(device) for device in records] == [12, 12]
+    assert any(not r.deadline_met for device in records for r in device)
+    assert len(qos.slices) > 12
+    assert qos.device_records[0] != list(records[0])
+    assert qos.total_energy_nj != fleet_result.total_energy_nj

@@ -356,19 +356,23 @@ class TestDaemon:
         assert not ServeClient(port=free_port, timeout=2.0).ping()
 
     def test_warm_submissions_skip_dp_rebuilds(self, client):
-        """Submissions after the first reuse the resident runtime."""
+        """Submissions after the first reuse the resident runtime, also
+        for another scenario on the same runtime key."""
         config = qos_config()
+        other = qos_config(scenario="case2")
         first = client.result(client.submit(config))
         warm = client.status()["engine"]
         baseline_dp, baseline_hits = warm["dp_builds"], warm["lut_hits"]
         payloads = [
             client.result(client.submit(config)) for _ in range(3)
         ]
+        second = client.result(client.submit(other))
         after = client.status()["engine"]
         assert after["dp_builds"] == baseline_dp  # zero rebuilds while warm
-        assert after["lut_hits"] >= baseline_hits + 3
+        assert after["lut_hits"] >= baseline_hits + 4
         for payload in payloads:
             assert payload["result"] == first["result"]
+        assert second["result"] != first["result"]
 
     def test_daemon_result_bit_identical_to_local_engine(self, client):
         config = qos_config(slices=8, peak=4)

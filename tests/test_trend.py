@@ -8,6 +8,7 @@ directories, never a real bench run.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,17 +21,23 @@ from repro.perf import (
     render_markdown,
 )
 
-#: Each section's headline metric, from the bench section table.
-HEADLINE_METRICS = {section.name: section.headline for section in SECTIONS}
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: Each headlined section's headline metric, from the bench section table.
+HEADLINE_METRICS = {
+    section.name: section.headline
+    for section in SECTIONS
+    if section.headline is not None
+}
 
 
-def write_artifacts(directory, values):
+def write_artifacts(directory, values, quick=True):
     """One ``BENCH_<section>.json`` per entry of ``{section: value}``."""
     directory.mkdir(parents=True, exist_ok=True)
     for section, value in values.items():
         metric = HEADLINE_METRICS[section]
         (directory / f"BENCH_{section}.json").write_text(json.dumps({
-            "bench": section, "metrics": {metric: value},
+            "bench": section, "quick": quick, "metrics": {metric: value},
         }))
 
 
@@ -76,10 +83,31 @@ class TestCompare:
 
     def test_missing_baseline_section_is_skipped(self, dirs):
         baseline, current = dirs
-        (baseline / "BENCH_serve.json").unlink()
+        (baseline / "BENCH_store.json").unlink()
         sections = {d.section for d in compare_reports(baseline, current)}
-        assert "serve" not in sections
+        assert "store" not in sections
         assert len(sections) == len(HEADLINE_METRICS) - 1
+
+    def test_gates_only_section_is_skipped(self, dirs):
+        """``obs`` has gates and no headline: its artifacts are never
+        compared, whatever they hold."""
+        gates_only = [s.name for s in SECTIONS if s.headline is None]
+        assert gates_only == ["obs"]
+        for directory in dirs:
+            (directory / "BENCH_obs.json").write_text(json.dumps({
+                "bench": "obs", "quick": True,
+                "metrics": {"disabled_overhead": 0.001},
+            }))
+        sections = {d.section for d in compare_reports(*dirs)}
+        assert sections == set(HEADLINE_METRICS)
+
+    def test_baseline_from_the_other_mode_is_an_error(self, dirs):
+        """A ``--quick`` run measures a smaller grid than a full one, so
+        the two never compare, even when the numbers would pass."""
+        baseline, current = dirs
+        write_artifacts(current, {"qos": 10.0}, quick=False)
+        with pytest.raises(ReproError, match="quick=True .* quick=False"):
+            compare_reports(baseline, current)
 
     def test_missing_current_section_is_an_error(self, dirs):
         baseline, current = dirs
@@ -90,7 +118,8 @@ class TestCompare:
     def test_missing_headline_metric_is_an_error(self, dirs):
         baseline, current = dirs
         (current / "BENCH_qos.json").write_text(json.dumps({
-            "bench": "qos", "metrics": {"requests_per_s": 1.0},
+            "bench": "qos", "quick": True,
+            "metrics": {"requests_per_s": 1.0},
         }))
         with pytest.raises(ReproError, match="headline metric"):
             compare_reports(baseline, current)
@@ -154,3 +183,25 @@ class TestCli:
             "--tolerance", "0.5",
         ])
         assert code == 0
+
+
+class TestCommittedBaselines:
+    def test_one_baseline_per_headlined_section(self):
+        """Every section with a trend headline has a baseline at the
+        repo root, and no ``BENCH_<name>.json`` there names a deleted
+        section: ``compare_reports`` ignores orphans, so a stale one
+        would otherwise linger unnoticed.  A gates-only section's
+        artifact is git-ignored, since nothing reads it."""
+        present = {p.name for p in REPO_ROOT.glob("BENCH_*.json")}
+        headlined = {f"BENCH_{name}.json" for name in HEADLINE_METRICS}
+        assert headlined <= present
+        assert present <= {f"BENCH_{s.name}.json" for s in SECTIONS}
+        ignored = (REPO_ROOT / ".gitignore").read_text().split()
+        for section in SECTIONS:
+            if section.headline is None:
+                assert f"/BENCH_{section.name}.json" in ignored
+
+    def test_committed_baselines_compare_green_against_themselves(self):
+        deltas = compare_reports(REPO_ROOT, REPO_ROOT)
+        assert {d.section for d in deltas} == set(HEADLINE_METRICS)
+        assert all(d.ratio == 1.0 for d in deltas)
