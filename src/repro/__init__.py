@@ -2,13 +2,12 @@
 
 A full reproduction of *"HH-PIM: Dynamic Optimization of Power and
 Performance with Heterogeneous-Hybrid PIM for Edge AI Devices"*
-(DAC 2025): the HH-PIM architecture model (clusters, modules, hybrid
-MRAM/SRAM memories, dual controllers, PIM ISA), the dynamic
-weight-placement optimizer (knapsack DP + allocation LUT), the
-time-slice runtime, every substrate the evaluation needs (NVSim-style
-memory estimation, RV32IM core, AXI/µNoC interconnect, FPGA resource
-model), and the analysis layer that regenerates the paper's tables and
-figures.
+(DAC 2025): the HH-PIM architecture model (clusters, modules, PEs,
+hybrid MRAM/SRAM memories), the dynamic weight-placement optimizer
+(knapsack DP + allocation LUT), the time-slice runtime, the substrates
+that price it (NVSim-style memory estimation, energy accounting, FPGA
+resource model, a cycle engine used as a cross-layer oracle), and the
+analysis layer that regenerates the paper's tables and figures.
 
 The front door is :mod:`repro.api`: string-keyed registries of
 architectures, models, scenarios and placement policies; a frozen,
@@ -49,7 +48,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "HYBRID_PIM",
             "TABLE_I",
         ),
-        ".arch.processor": ("PimFabric", "Processor"),
         ".core.lut": ("AllocationLUT", "Placement"),
         ".core.placement": ("DataPlacementOptimizer", "PlacementPolicy"),
         ".core.runtime": (

@@ -1,9 +1,9 @@
-"""Architecture specifications and processor assembly.
+"""Architecture specifications.
 
 :mod:`repro.arch.specs` defines :class:`ArchitectureSpec` and the four
-Table I presets (Baseline-, Heterogeneous-, Hybrid- and HH-PIM);
-:mod:`repro.arch.processor` assembles a full processor — RISC-V core, NoC,
-instruction queue, controllers and clusters — around any spec.
+Table I presets (Baseline-, Heterogeneous-, Hybrid- and HH-PIM).
+:class:`~repro.core.placement.DataPlacementOptimizer` builds a spec's
+PIM clusters.
 """
 
 from .._lazy import lazy_exports
@@ -20,6 +20,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "HH_PIM",
             "TABLE_I",
         ),
-        ".processor": ("PimFabric", "Processor"),
     },
 )

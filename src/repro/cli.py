@@ -1214,6 +1214,18 @@ def main(argv=None) -> int:
         tracer = obs_tracing.activate(proc="main")
     try:
         print(_HANDLERS[args.command](args))
+        # Flush here, not at exit, so a closed pipe surfaces below.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader hung up (`repro ... | head`): the conventional
+        # 128+SIGPIPE exit, silently.  Point fd 1 at /dev/null so the
+        # interpreter's exit flush of the unwritten rest stays quiet.
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except KeyboardInterrupt:
         # Ctrl-C is a deliberate stop, not an error: the conventional
         # 128+SIGINT exit, one line, no traceback.  (`repro serve`

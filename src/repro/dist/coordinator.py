@@ -150,9 +150,7 @@ class SweepCoordinator:
     @property
     def port(self) -> int:
         """The bound TCP port (resolves ``port=0`` after :meth:`start`)."""
-        if self._server is None:
-            return self.requested_port
-        return self._server.server_address[1]
+        return FrameServer.port_of(self._server, self.requested_port)
 
     def bind(self) -> None:
         """Bind and listen on the socket without starting any thread.
@@ -163,13 +161,9 @@ class SweepCoordinator:
         """
         if self._server is not None:
             raise ServiceError("coordinator already bound")
-        try:
-            self._server = FrameServer((self.host, self.requested_port), self)
-        except OSError as error:
-            raise ServiceError(
-                f"cannot listen on {self.host}:{self.requested_port}: "
-                f"{error.strerror or error}"
-            ) from error
+        self._server = FrameServer.listen(
+            self.host, self.requested_port, self
+        )
 
     def start(self) -> None:
         """Bind the socket (unless :meth:`bind` did) and start the

@@ -60,30 +60,6 @@ class QueueEmptyError(IsaError):
     """A fetch was attempted from an empty PIM instruction queue."""
 
 
-class ControllerError(ReproError):
-    """The PIM controller entered an inconsistent state."""
-
-
-class StateTransitionError(ControllerError):
-    """An illegal state-machine transition was requested."""
-
-
-class NocError(ReproError):
-    """The interconnect model rejected a transfer."""
-
-
-class RiscvError(ReproError):
-    """Base class for RISC-V ISS failures."""
-
-
-class IllegalInstructionError(RiscvError):
-    """The ISS fetched a word that does not decode to a supported opcode."""
-
-
-class MmioError(RiscvError):
-    """An MMIO access hit an unmapped address or violated access width."""
-
-
 class SimulationError(ReproError):
     """The event/cycle simulation engine detected an inconsistency."""
 

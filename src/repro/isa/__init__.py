@@ -4,8 +4,11 @@ HH-PIM "operat[es] based on dedicated PIM instructions" delivered from the
 processor core into a *PIM Instruction Queue* (paper, Section II).  This
 package defines a compact 32-bit instruction word, typed instruction
 classes with a lossless encode/decode round-trip, the bounded instruction
-queue, and a small text assembler used by the examples and the RISC-V
-driver programs.
+queue, and a small text assembler.  No command or pricing path issues
+instructions; the package is the ISA's executable specification, and
+:class:`~repro.isa.encoding.ClusterId`, which specs, clusters and the
+placement optimizer key on, stays at its module path because the
+persistent LUT cache's pickles name it.
 """
 
 from .._lazy import lazy_exports

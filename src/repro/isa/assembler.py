@@ -1,7 +1,7 @@
 """Tiny text assembler for PIM programs.
 
-The examples and the RISC-V driver kernels express PIM command streams in
-a one-instruction-per-line assembly dialect::
+PIM command streams are written in a one-instruction-per-line assembly
+dialect::
 
     # comments start with '#'
     load    hp.0  mram=16 sram=16     ; fetch operands into the PE

@@ -7,7 +7,7 @@ set to the PE.  Two execution styles are offered:
 
 * a **functional** path (:meth:`PIMModule.compute_dot`) that moves real
   INT8 bytes through the banks and the MAC datapath — used by correctness
-  tests and the RISC-V-driven integration tests;
+  tests;
 * a **fast accounting** path (:meth:`PIMModule.run_macs`) that charges the
   identical latency/energy for a whole batch of MACs without touching
   data — used by the cycle engine when sweeping 50-time-slice scenarios.

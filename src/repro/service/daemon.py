@@ -210,9 +210,7 @@ class ServeDaemon:
     @property
     def port(self) -> int:
         """The bound TCP port (resolves ``port=0`` after :meth:`start`)."""
-        if self._server is None:
-            return self.requested_port
-        return self._server.server_address[1]
+        return FrameServer.port_of(self._server, self.requested_port)
 
     @property
     def uptime_s(self) -> float:
@@ -230,14 +228,10 @@ class ServeDaemon:
         """
         if self._server is not None:
             raise ServiceError("daemon already started")
-        try:
-            self._server = FrameServer((self.host, self.requested_port), self)
-        except OSError as error:
-            raise ServiceError(
-                f"cannot listen on {self.host}:{self.requested_port}: "
-                f"{error.strerror or error} "
-                f"(is another repro serve already running?)"
-            ) from error
+        self._server = FrameServer.listen(
+            self.host, self.requested_port, self,
+            hint="(is another repro serve already running?)",
+        )
         self._write_pidfile()
         if self.trace_path is not None and obs_tracing.active_tracer() is None:
             obs_tracing.activate(proc="daemon")

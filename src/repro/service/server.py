@@ -20,7 +20,7 @@ import socket
 import socketserver
 import threading
 
-from ..errors import ProtocolError
+from ..errors import ProtocolError, ServiceError
 from . import protocol
 
 __all__ = ["FrameServer"]
@@ -62,7 +62,8 @@ class FrameServer(socketserver.ThreadingTCPServer):
     ``dispatcher`` is anything with a ``dispatch(message) -> reply``
     method (a :class:`~repro.service.daemon.ServeDaemon` or a
     :class:`~repro.dist.coordinator.SweepCoordinator`).  Binding errors
-    surface from the constructor as :class:`OSError`.
+    surface from the constructor as :class:`OSError`, and from
+    :meth:`listen` as :class:`~repro.errors.ServiceError`.
     """
 
     allow_reuse_address = False
@@ -77,6 +78,28 @@ class FrameServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _FrameHandler)
         self._wake_recv, self._wake_send = socket.socketpair()
         self._acceptor: threading.Thread | None = None
+
+    @classmethod
+    def listen(
+        cls, host: str, port: int, dispatcher, hint: str = ""
+    ) -> "FrameServer":
+        """Bind ``host:port`` for ``dispatcher``; a bind failure raises
+        :class:`~repro.errors.ServiceError`, with ``hint`` appended."""
+        try:
+            return cls((host, port), dispatcher)
+        except OSError as error:
+            raise ServiceError(
+                f"cannot listen on {host}:{port}: {error.strerror or error}"
+                + (f" {hint}" if hint else "")
+            ) from error
+
+    @staticmethod
+    def port_of(server: "FrameServer | None", requested_port: int) -> int:
+        """``server``'s bound port (which resolves ``port=0``), or
+        ``requested_port`` while there is no server."""
+        if server is None:
+            return requested_port
+        return server.server_address[1]
 
     @property
     def started(self) -> bool:

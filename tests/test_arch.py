@@ -1,4 +1,4 @@
-"""Unit tests for architecture specs and processor assembly."""
+"""Unit tests for the architecture specs."""
 
 import pytest
 
@@ -7,15 +7,11 @@ from repro.arch import (
     HETEROGENEOUS_PIM,
     HH_PIM,
     HYBRID_PIM,
-    PimFabric,
-    Processor,
     TABLE_I,
 )
 from repro.arch.specs import ArchitectureSpec, ClusterSpec
 from repro.errors import ConfigurationError
-from repro.isa import ClusterId, Compute, LoadOperands, Sync
 from repro.pim.module import ModuleKind
-from repro.riscv import asm
 
 
 class TestTableI:
@@ -59,76 +55,3 @@ class TestTableI:
     def test_memoryless_module_rejected(self):
         with pytest.raises(ConfigurationError):
             ClusterSpec(ModuleKind.HP, 4, 0, 0)
-
-
-class TestPimFabric:
-    def test_hh_has_two_controllers(self):
-        fabric = PimFabric(HH_PIM)
-        assert set(fabric.clusters) == {ClusterId.HP, ClusterId.LP}
-        assert fabric.controller(ClusterId.HP).peer is fabric.cluster(ClusterId.LP)
-
-    def test_baseline_has_single_cluster(self):
-        fabric = PimFabric(BASELINE_PIM)
-        with pytest.raises(ConfigurationError):
-            fabric.cluster(ClusterId.LP)
-
-    def test_drain_routes_by_cluster(self):
-        fabric = PimFabric(HH_PIM)
-        fabric.queue.push(Compute(ClusterId.HP, 0, count=4))
-        fabric.queue.push(Compute(ClusterId.LP, 0, count=4))
-        elapsed = fabric.drain()
-        assert elapsed > 0
-        assert fabric.cluster(ClusterId.HP).module(0).pe.stats.macs == 4
-        assert fabric.cluster(ClusterId.LP).module(0).pe.stats.macs == 4
-
-    def test_drain_dual_controller_overlap(self):
-        # The fabric completes at the slower controller, not the sum.
-        fabric = PimFabric(HH_PIM)
-        fabric.queue.push(Compute(ClusterId.HP, 0, count=100))
-        fabric.queue.push(Compute(ClusterId.LP, 0, count=100))
-        elapsed = fabric.drain()
-        lp_only = PimFabric(HH_PIM)
-        lp_only.queue.push(Compute(ClusterId.LP, 0, count=100))
-        assert elapsed == pytest.approx(lp_only.drain())
-
-    def test_energy_accumulates(self):
-        fabric = PimFabric(HH_PIM)
-        fabric.queue.push(LoadOperands(ClusterId.HP, 0, mram_count=8, sram_count=8))
-        fabric.drain()
-        assert fabric.total_energy_nj() > 0
-
-
-class TestProcessor:
-    def test_end_to_end_issue_path(self):
-        processor = Processor(HH_PIM)
-        word = Compute(ClusterId.HP, 0, count=16).encode()
-        program = asm(f"""
-            li a0, 0x40000000
-            li t0, {word}
-            sw t0, 0(a0)
-            ebreak
-        """)
-        processor.load_program(program.to_bytes())
-        summary = processor.run()
-        assert summary["pim_instructions"] == 1
-        # Straight-line program: every assembled word retires exactly once.
-        assert summary["core_instructions"] == program.size_bytes // 4
-        hp = processor.fabric.cluster(ClusterId.HP)
-        assert hp.module(0).pe.stats.macs == 16
-        assert summary["total_time_ns"] > 0
-
-    def test_issue_loop_program(self):
-        processor = Processor(HH_PIM)
-        words = [
-            Sync(ClusterId.HP, 0).encode(),
-            Compute(ClusterId.HP, 1, count=3).encode(),
-            Compute(ClusterId.LP, 2, count=5).encode(),
-        ]
-        body = "\n".join(
-            f"li t0, {word}\nsw t0, 0(a0)" for word in words
-        )
-        program = asm(f"li a0, 0x40000000\n{body}\nebreak")
-        processor.load_program(program.to_bytes())
-        summary = processor.run()
-        assert summary["pim_instructions"] == 3
-        assert processor.fabric.cluster(ClusterId.LP).module(2).pe.stats.macs == 5

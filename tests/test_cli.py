@@ -368,6 +368,27 @@ class TestVersionAndInterrupt:
         assert captured.err.strip() == "interrupted"
         assert "Traceback" not in captured.err
 
+    def test_closed_stdout_exits_141(self, tmp_path):
+        """A reader that hangs up (``| head``) gets 128+SIGPIPE, no traceback."""
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        trace = tmp_path / "t.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "--case", "1",
+             "--slices", "4", "--blocks", "16", "--steps", "1500",
+             "--json", "--trace", str(trace)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # Closed before the child has even imported the engine, so its
+        # first write hits a pipe with no reader.
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err
+        assert b"BrokenPipe" not in err
+        assert json.loads(trace.read_text())
+
 
 class TestServeCli:
     """The client verbs against an in-process daemon on an ephemeral port."""

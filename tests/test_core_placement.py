@@ -61,6 +61,7 @@ class TestSpaces:
         from repro.memory.hybrid import BankKind
         assert SpaceKind.of(ClusterId.HP, BankKind.SRAM) is SpaceKind.HP_SRAM
         assert SpaceKind.LP_MRAM.cluster is ClusterId.LP
+        assert SpaceKind.LP_MRAM.cluster.other is ClusterId.HP
         assert SpaceKind.LP_MRAM.bank is BankKind.MRAM
 
 

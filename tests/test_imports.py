@@ -24,9 +24,6 @@ SRC = str(Path(repro.__file__).resolve().parent.parent)
 #: Subsystems and heavy stdlib modules the default ``repro qos`` must
 #: not load.
 QOS_UNUSED = (
-    "repro.riscv",
-    "repro.controller",
-    "repro.noc",
     "repro.fpga",
     "repro.isa.instructions",
     "repro.service.daemon",

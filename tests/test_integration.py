@@ -1,16 +1,66 @@
 """Integration tests: cross-layer consistency and end-to-end paths."""
 
+import functools
+import random
+
 import pytest
 
-from repro.arch import HH_PIM, Processor
-from repro.core import SpaceKind
+from _shared import SMALL_BLOCKS, SMALL_STEPS
+from repro.arch import TABLE_I
+from repro.core import DataPlacementOptimizer, SpaceKind
+from repro.core.runtime import default_time_slice_ns
 from repro.core.spaces import CORE_MAC_TIME_NS
-from repro.isa import ClusterId, Compute, Config, ConfigOp, GateTarget, LoadOperands
-from repro.memory.hybrid import BankKind
+from repro.isa import ClusterId
 from repro.pim import ModuleKind, PIMCluster
-from repro.riscv import asm
 from repro.sim import CycleEngine
-from repro.workloads import EFFICIENTNET_B0, ScenarioCase, scenario
+from repro.workloads import EFFICIENTNET_B0, TABLE_IV, ScenarioCase, scenario
+
+#: Random placements the cycle engine executes per (architecture, model).
+ORACLE_PLACEMENTS = 20
+
+TABLE_PAIRS = [
+    pytest.param(spec, model, id=f"{spec.name}-{model.name}")
+    for spec in TABLE_I
+    for model in TABLE_IV
+]
+
+
+@functools.lru_cache(maxsize=None)
+def small_time_slice_ns(model):
+    return default_time_slice_ns(
+        model, block_count=SMALL_BLOCKS, time_steps=SMALL_STEPS
+    )
+
+
+def spec_clusters(spec):
+    """Fresh, unused clusters built from an architecture spec."""
+    return {
+        cluster_id: PIMCluster(
+            cluster_id=cluster_id,
+            kind=cluster_spec.kind,
+            module_count=cluster_spec.module_count,
+            mram_capacity=cluster_spec.mram_capacity,
+            sram_capacity=cluster_spec.sram_capacity,
+        )
+        for cluster_id, cluster_spec in spec.cluster_specs()
+    }
+
+
+def random_placement(rng, spaces, blocks):
+    """A seeded random split of ``blocks`` that fits every space's capacity."""
+    order = rng.sample(spaces, len(spaces))
+    counts = {}
+    remaining = blocks
+    for index, space in enumerate(order):
+        later = sum(s.capacity_blocks for s in order[index + 1:])
+        take = rng.randint(
+            max(0, remaining - later), min(space.capacity_blocks, remaining)
+        )
+        if take:
+            counts[space.kind] = take
+        remaining -= take
+    assert remaining == 0
+    return counts
 
 
 class TestEngineVsAnalyticModel:
@@ -58,55 +108,45 @@ class TestEngineVsAnalyticModel:
         single = sum(c.total_energy_nj() for c in single_clusters.values())
         assert total == pytest.approx(3 * single, rel=1e-6)
 
+    # Every Table I x IV pair, on seeded random feasible placements.
+    # The engine charges leakage while banks are accessed, which the
+    # analytic per-task dynamic energy leaves to hold power, so it never
+    # reads below the analytic figure.  On the MRAM architectures the
+    # gap stays under 5%; on the SRAM-only ones SRAM leakage during
+    # accesses widens it (to ~9% on Baseline-/Heterogeneous-PIM), so
+    # only the lower bound holds there.
+    def random_executions(self, spec, model):
+        optimizer = DataPlacementOptimizer(
+            spec, model, small_time_slice_ns(model),
+            block_count=SMALL_BLOCKS, time_steps=SMALL_STEPS,
+        )
+        rng = random.Random(f"{spec.name}/{model.name}")
+        macs_per_block = model.pim_macs / optimizer.block_count
+        for _ in range(ORACLE_PLACEMENTS):
+            counts = random_placement(
+                rng, optimizer.spaces, optimizer.block_count
+            )
+            engine = CycleEngine(
+                spec_clusters(spec), latency_scale=optimizer.latency_scale
+            )
+            yield optimizer, counts, engine.execute_task(counts, macs_per_block)
 
-class TestProcessorDrivenPim:
-    """RISC-V driver -> MMIO doorbell -> queue -> controller -> modules."""
+    @pytest.mark.parametrize("spec,model", TABLE_PAIRS)
+    def test_random_task_times_agree(self, spec, model):
+        for optimizer, counts, execution in self.random_executions(spec, model):
+            assert execution.task_time_ns == pytest.approx(
+                optimizer.task_time_ns(counts), rel=0.01
+            ), counts
 
-    def test_gating_program(self):
-        processor = Processor(HH_PIM)
-        words = [
-            Config(ClusterId.LP, 0, op=ConfigOp.GATE_OFF,
-                   target=GateTarget.SRAM).encode(),
-            Config(ClusterId.LP, 1, op=ConfigOp.GATE_OFF,
-                   target=GateTarget.ALL).encode(),
-        ]
-        body = "\n".join(f"li t0, {w}\nsw t0, 0(a0)" for w in words)
-        processor.load_program(asm(f"li a0, 0x40000000\n{body}\nebreak").to_bytes())
-        processor.run()
-        lp = processor.fabric.cluster(ClusterId.LP)
-        assert not lp.module(0).memory.bank(BankKind.SRAM).powered
-        assert lp.module(0).memory.bank(BankKind.MRAM).powered
-        assert not lp.module(1).pe.powered
-
-    def test_compute_pipeline_program(self):
-        processor = Processor(HH_PIM)
-        words = [
-            LoadOperands(ClusterId.HP, 0, mram_count=8, sram_count=8).encode(),
-            Compute(ClusterId.HP, 0, count=8).encode(),
-        ]
-        body = "\n".join(f"li t0, {w}\nsw t0, 0(a0)" for w in words)
-        processor.load_program(asm(f"li a0, 0x40000000\n{body}\nebreak").to_bytes())
-        summary = processor.run()
-        hp0 = processor.fabric.cluster(ClusterId.HP).module(0)
-        assert hp0.pe.stats.macs == 8
-        assert hp0.memory_stats().reads == 16
-        assert summary["pim_energy_nj"] > 0
-
-    def test_queue_backpressure_visible_to_software(self):
-        processor = Processor(HH_PIM, queue_depth=2)
-        word = Compute(ClusterId.HP, 0, count=1).encode()
-        # Push 3 words without draining; the third is dropped and the
-        # software can see the full flag.
-        body = "\n".join(f"li t0, {word}\nsw t0, 0(a0)" for _ in range(3))
-        program = asm(f"""
-            li a0, 0x40000000
-            {body}
-            lw t1, 4(a0)
-            ebreak
-        """)
-        processor.load_program(program.to_bytes())
-        processor.run()
-        assert processor.bridge.rejected_pushes == 1
+    @pytest.mark.parametrize("spec,model", TABLE_PAIRS)
+    def test_random_energy_bounds_analytic_dynamic(self, spec, model):
+        for optimizer, counts, execution in self.random_executions(spec, model):
+            analytic = optimizer.dynamic_energy_nj(counts)
+            assert execution.dynamic_energy_nj >= analytic, counts
+            if spec.hybrid:
+                assert execution.dynamic_energy_nj == pytest.approx(
+                    analytic, rel=0.05
+                ), counts
 
 
 class TestRuntimeInvariants:

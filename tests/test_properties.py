@@ -9,7 +9,6 @@ from repro.core.spaces import SpaceKind
 from repro.isa import ClusterId, Compute, ComputeOp, LoadOperands, decode
 from repro.memory import MemoryBank, SRAM_45NM, STT_MRAM_45NM
 from repro.pe.mac import int8_mac, requantize, saturate_int8
-from repro.riscv import asm, Cpu, MmioBus, RamRegion
 from tests.test_core_knapsack import brute_force, space
 
 
@@ -152,29 +151,6 @@ def test_requantize_bounded(value, num, shift):
     result = requantize(value, num, shift)
     assert -128 <= result <= 127
     assert result == saturate_int8(result)
-
-
-# --- RISC-V ALU vs Python semantics ----------------------------------------------------
-
-@given(st.integers(-1000, 1000), st.integers(-1000, 1000))
-@settings(max_examples=25, deadline=None)
-def test_riscv_add_sub_match_python(a, b):
-    bus = MmioBus()
-    ram = bus.map(RamRegion(0, 64 * 1024))
-    ram.load_blob(0, asm(f"""
-        li a0, {a}
-        li a1, {b}
-        add a2, a0, a1
-        sub a3, a0, a1
-        mul a4, a0, a1
-        ebreak
-    """).to_bytes())
-    cpu = Cpu(bus)
-    cpu.run()
-    mask = 0xFFFFFFFF
-    assert cpu.state.read(12) == (a + b) & mask
-    assert cpu.state.read(13) == (a - b) & mask
-    assert cpu.state.read(14) == (a * b) & mask
 
 
 # --- LUT monotonicity over the real optimizer ----------------------------------------

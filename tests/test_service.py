@@ -518,6 +518,22 @@ class TestDaemon:
         with pytest.raises(ServiceError, match="already running"):
             rival.start()
 
+    def test_coordinator_on_a_taken_port_fails_fast(self, daemon, tmp_path):
+        from repro.dist import SweepCoordinator
+
+        coordinator = SweepCoordinator(
+            (qos_config(),), tmp_path / "store", host=daemon.host,
+            port=daemon.port, log=lambda line: None,
+        )
+        with pytest.raises(ServiceError) as excinfo:
+            coordinator.bind()
+        assert str(excinfo.value) == (
+            f"cannot listen on {daemon.host}:{daemon.port}: "
+            "Address already in use"
+        )
+        # No server was bound: the port reads back as requested.
+        assert coordinator.port == daemon.port
+
 
 class _Window:
     """A QoS window's stats as ``ServeDaemon._observe_window`` reads them."""
